@@ -8,9 +8,8 @@ a symbolic inequality-elimination engine, exhaustive and generating
 function counting, and vectorized Monte Carlo simulation.
 """
 
-from .genfib import GenFibTable, f_sum, g_val, gen_fib, h_val, parts_multiset
+from .genfib import f_sum, fib_table, g_val, gen_fib, h_val, parts_multiset
 from .probability import (
-    ExactRational,
     ProblemSpec,
     prob_exists,
     prob_forall,
@@ -51,13 +50,12 @@ from .montecarlo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GenFibTable",
+    "fib_table",
     "gen_fib",
     "f_sum",
     "g_val",
     "h_val",
     "parts_multiset",
-    "ExactRational",
     "ProblemSpec",
     "prob_none",
     "prob_exists",

@@ -31,7 +31,7 @@ from .counting import (
     hermite_coeff,
     series_coefficients,
 )
-from .genfib import f_sum, gen_fib, parts_multiset
+from .genfib import fib_table, parts_multiset
 from .montecarlo import DEFAULT_CHUNKS, DEFAULT_SEED, MODES, SimConfig, estimate
 from .omega import run_elimination
 from .probability import ProblemSpec, prob_exists, prob_forall, prob_ngon, prob_none
@@ -52,14 +52,20 @@ _SUITE_FLAGS: dict[str, dict[str, str]] = {
 }
 
 
+def _digits(value: int) -> str:
+    # Decimal prints every digit; str(int) stops at the interpreter's
+    # int-to-str limit (4300 digits by default since Python 3.11).
+    return str(Decimal(value))
+
+
 def _encode(value):
     """Result-payload encoding: exact ints and rationals become strings."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return str(value)
+        return _digits(value)
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
     if isinstance(value, float):
         return value
     if isinstance(value, dict):
@@ -139,8 +145,7 @@ def _cmd_prob(args) -> tuple[dict, int]:
 def _cmd_fib(args) -> tuple[dict, int]:
     if args.upto < 0:
         raise ValueError(f"--upto must be nonnegative, got {args.upto}")
-    terms = [gen_fib(args.k, i) for i in range(args.upto + 1)]
-    sums = [f_sum(args.k, i) for i in range(args.upto + 1)]
+    terms, sums = fib_table(args.k, args.upto)
     result = {"terms": terms, "partial_sums": sums}
     return _record("fib", {"k": args.k, "upto": args.upto}, result), 0
 

@@ -8,9 +8,9 @@ other and the closed forms:
 * ``count_restricted`` / ``series_coefficients``: classical coin-style
   partition DP, counting by part sizes (the elimination engine's
   output) instead of by direct search.
-* ``hermite_coeff``: series coefficient of the all-pieces polygon
-  generating function, counting compositions into n positive parts
-  each at most half the total.
+* ``hermite_coeff``: closed-form count of compositions into n positive
+  parts each at most half the total, the coefficients of the
+  all-pieces polygon generating function.
 
 ``asymptotic_ratio`` and ``limit_probability`` relate the discrete
 counts back to the continuous probabilities.
@@ -52,16 +52,14 @@ def count_constrained(
     spec: ProblemSpec,
     n_value: int,
     positivity: Positivity = "nonneg",
-    descending: bool = True,
 ) -> int:
     """Count weakly decreasing integer vectors satisfying the window system.
 
     Vectors (a_1 >= a_2 >= ... >= a_n) with every a_i >= 0 (or >= 1 for
     ``positivity="positive"``), total exactly ``n_value``, and every
     window inequality a_i >= a_{i+1} + ... + a_{i+k-1}.  Plain
-    backtracking over candidate values with remaining-total and window
-    pruning; ``descending`` flips the candidate order inside each slot,
-    which must not change the count (exercised by the tests).
+    backtracking over each slot's candidate values, largest first, with
+    remaining-total and window pruning.
 
     Raises ``ResourceLimitError`` when the crude node estimate
     n_value^(n-1) / (n! (n-1)!) exceeds ten million.
@@ -97,11 +95,8 @@ def count_constrained(
         lo_here = max(lo, -(-remaining // (slots_after + 1)))
         if hi < lo_here:
             return 0
-        candidates = (
-            range(hi, lo_here - 1, -1) if descending else range(lo_here, hi + 1)
-        )
         total = 0
-        for v in candidates:
+        for v in range(hi, lo_here - 1, -1):
             vals[pos] = v
             if feasible(pos):
                 total += rec(pos + 1, v, remaining - v)
@@ -139,57 +134,29 @@ def series_coefficients(product: ClosedProduct, n_max: int) -> list[int]:
     return _restricted_table(product.exponents, n_max)
 
 
-def _poly_mul(a: list[int], b: list[int], cap: int) -> list[int]:
-    out = [0] * (cap + 1)
-    for i, ai in enumerate(a):
-        if ai and i <= cap:
-            for j, bj in enumerate(b):
-                if i + j > cap:
-                    break
-                out[i + j] += ai * bj
-    return out
-
-
-def _series_inverse(p: list[int], cap: int) -> list[int]:
-    # 1 / p modulo q^(cap+1); requires p[0] == 1.
-    inv = [0] * (cap + 1)
-    inv[0] = 1
-    for m in range(1, cap + 1):
-        acc = 0
-        for i in range(1, min(m, len(p) - 1) + 1):
-            acc += p[i] * inv[m - i]
-        inv[m] = -acc
-    return inv
-
-
-def _binomial_poly(sign: int, power: int) -> list[int]:
-    # (1 + sign*q)^power as a coefficient list.
-    return [comb(power, i) * (sign**i) for i in range(power + 1)]
-
-
 def hermite_coeff(n: int, n_value: int) -> int:
     """Number of compositions of n_value into n positive parts, each part
     at most half the total (so degenerate flat n-gons are included).
 
-    Computed as the q^n_value coefficient of
+    All C(N-1, n-1) compositions of N = n_value, minus those with a part
+    above N/2.  Two such parts would already sum past N, so at most one
+    part is too big; fixing which of the n parts it is and taking
+    floor(N/2) off it leaves an arbitrary composition of N - floor(N/2),
+    hence
 
-        q^n / (1-q)^n  -  n * q^(2n-1) / ((1-q)^n (1+q)^(n-1))
+        C(N-1, n-1) - n * C(N - floor(N/2) - 1, n-1).
 
-    by dense truncated series arithmetic.
+    This is the q^N coefficient of the generating function
+    q^n / (1-q)^n - n q^(2n-1) / ((1-q)^n (1+q)^(n-1)).  Costs two
+    big-int binomials.
     """
     if n < 3:
         raise ValueError(f"piece count must be at least 3, got {n}")
     if n_value < 0:
         raise ValueError(f"total must be nonnegative, got {n_value}")
-    cap = n_value
-    first = _series_inverse(_binomial_poly(-1, n), cap)
-    term1 = first[n_value - n] if n_value >= n else 0
-    shift = 2 * n - 1
-    if n_value < shift:
-        return term1
-    den = _poly_mul(_binomial_poly(-1, n), _binomial_poly(1, n - 1), cap)
-    second = _series_inverse(den, cap)
-    return term1 - n * second[n_value - shift]
+    if n_value < n:
+        return 0
+    return comb(n_value - 1, n - 1) - n * comb(n_value - n_value // 2 - 1, n - 1)
 
 
 def asymptotic_ratio(spec: ProblemSpec, n_value: int) -> Fraction:

@@ -13,17 +13,20 @@ Three derived quantities recur throughout the package:
 * ``h_val(k, n, l)``: f_k(n) plus a chain of g values; these are the
   correction factors that appear once the polygon size exceeds 3.
 
-All values are nonnegative integers and grow roughly geometrically
-(ratio approaching 2 as k grows), so everything here is plain
-unbounded-int arithmetic.
+Every function builds what it needs from one ``fib_table`` pass, which
+costs O(upto) big-int additions; nothing is cached between calls, so
+the module holds no state and is safe to call from any thread.  All
+values are nonnegative integers and grow roughly geometrically (ratio
+approaching 2 as k grows), so everything here is plain unbounded-int
+arithmetic.
 """
 
 from __future__ import annotations
 
-import threading
+from itertools import accumulate
 
 __all__ = [
-    "GenFibTable",
+    "fib_table",
     "gen_fib",
     "f_sum",
     "g_val",
@@ -32,75 +35,47 @@ __all__ = [
 ]
 
 
-class GenFibTable:
-    """Growable memo of one order-k sequence and its running sums.
+def fib_table(k: int, upto: int) -> tuple[list[int], list[int]]:
+    """Terms F_0..F_upto and running sums f_k(0)..f_k(upto), order k.
 
-    Growth is append-only and single-writer.  A table that is no longer
-    being grown can be read from any number of threads; the shared
-    module-level tables used by the convenience functions below are
-    guarded by a lock.
+    F_0 = ... = F_{k-2} = 0 and F_{k-1} = 1.  Each later term is the sum
+    of the k before it, read off the running sums as
+    F_m = f_k(m-1) - f_k(m-k-1), so the whole table is one pass.
     """
-
-    def __init__(self, k: int):
-        if k < 2:
-            raise ValueError(f"sequence order must be at least 2, got {k}")
-        self.k = k
-        self._values: list[int] = [0] * (k - 1) + [1]
-        self._sums: list[int] = [0] * (k - 1) + [1]
-
-    def _grow_to(self, n: int) -> None:
-        k = self.k
-        while len(self._values) <= n:
-            nxt = sum(self._values[-k:])
-            self._values.append(nxt)
-            self._sums.append(self._sums[-1] + nxt)
-
-    def fib(self, n: int) -> int:
-        """Term n of the order-k sequence (F_0 = ... = F_{k-2} = 0, F_{k-1} = 1)."""
-        if n < 0:
-            raise ValueError(f"sequence index must be nonnegative, got {n}")
-        self._grow_to(n)
-        return self._values[n]
-
-    def partial_sum(self, i: int) -> int:
-        """Running sum f_k(i) = F_{k-1} + ... + F_i; zero for i <= k - 2.
-
-        The leading terms of the sequence are all zero, so this equals
-        the unrestricted cumulative sum through index i.
-        """
-        if i < 0:
-            raise ValueError(f"sequence index must be nonnegative, got {i}")
-        self._grow_to(i)
-        return self._sums[i]
-
-
-_tables: dict[int, GenFibTable] = {}
-_tables_lock = threading.Lock()
-
-
-def _table(k: int) -> GenFibTable:
-    tab = _tables.get(k)
-    if tab is None:
-        tab = _tables.setdefault(k, GenFibTable(k))
-    return tab
+    if k < 2:
+        raise ValueError(f"sequence order must be at least 2, got {k}")
+    if upto < 0:
+        raise ValueError(f"sequence index must be nonnegative, got {upto}")
+    terms = [0] * (k - 1) + [1]
+    sums = [0] * (k - 1) + [1]
+    for m in range(k, upto + 1):
+        nxt = sums[-1] - (sums[m - k - 1] if m > k else 0)
+        terms.append(nxt)
+        sums.append(sums[-1] + nxt)
+    return terms[: upto + 1], sums[: upto + 1]
 
 
 def gen_fib(k: int, n: int) -> int:
     """Term n of the order-k step-Fibonacci sequence."""
-    with _tables_lock:
-        return _table(k).fib(n)
+    return fib_table(k, n)[0][n]
 
 
 def f_sum(k: int, i: int) -> int:
-    """Running sum of the order-k sequence through index i."""
-    with _tables_lock:
-        return _table(k).partial_sum(i)
+    """Running sum f_k(i) = F_{k-1} + ... + F_i; zero for i <= k - 2."""
+    return fib_table(k, i)[1][i]
+
+
+def _chain(sums: list[int], k: int, n: int) -> list[int]:
+    # h_k(n, 2), ..., h_k(n, k-1) from the order-k running sums through n.
+    # g[w-1] is the width-w window value; each h adds one narrower g.
+    g = list(accumulate((sums[n - w] for w in range(2, k)), initial=1))
+    return list(accumulate((g[k - l] for l in range(2, k)), initial=sums[n]))[1:]
 
 
 def g_val(k: int, n: int, j: int) -> int:
     """1 + f_k(n-2) + f_k(n-3) + ... + f_k(n-j).
 
-    Defined for j >= 2 and n >= k.  The sum telescopes against the
+    Defined for 2 <= j <= n and n >= k.  The sum telescopes against the
     running sums: g_k(k-1) equals f_k(n) - f_k(n-1) for the orders where
     both sides are defined.
     """
@@ -108,25 +83,26 @@ def g_val(k: int, n: int, j: int) -> int:
         raise ValueError(f"sequence order must be at least 2, got {k}")
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    if j < 2:
-        raise ValueError(f"need j >= 2, got {j}")
-    return 1 + sum(f_sum(k, n - l) for l in range(2, j + 1))
+    if not 2 <= j <= n:
+        raise ValueError(f"need 2 <= j <= n, got j={j}, n={n}")
+    return 1 + sum(fib_table(k, n)[1][n - j : n - 1])
 
 
 def h_val(k: int, n: int, l: int) -> int:
     """f_k(n) + g_k(k-1) + g_k(k-2) + ... + g_k(k+1-l).
 
-    Defined for l >= 2; the chain pulls in one g value per step.  These
-    are the extra denominator factors of the no-polygon probability for
-    polygon sizes 4 and up (size 4 uses only l = 2, size 3 none).
+    Defined for 2 <= l <= k - 1; the chain pulls in one g value per
+    step.  These are the extra denominator factors of the no-polygon
+    probability for polygon sizes 4 and up (size 4 uses only l = 2,
+    size 3 none).
     """
     if k < 3:
         raise ValueError(f"need sequence order >= 3, got {k}")
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
-    return f_sum(k, n) + sum(g_val(k, n, k + 1 - j) for j in range(2, l + 1))
+    if not 2 <= l <= k - 1:
+        raise ValueError(f"need 2 <= l <= k - 1, got l={l}, k={k}")
+    return _chain(fib_table(k, n)[1], k, n)[l - 2]
 
 
 def parts_multiset(k: int, n: int) -> tuple[int, ...]:
@@ -135,12 +111,11 @@ def parts_multiset(k: int, n: int) -> tuple[int, ...]:
     The n - k + 3 running sums f_{k-1}(k-2), ..., f_{k-1}(n) followed by
     the k - 3 chain values h_{k-1}(2), ..., h_{k-1}(k-2); the chain
     block is empty for k = 3.  Exactly n values in total; their product
-    is the denominator of the no-polygon probability.
+    is the denominator of the no-polygon probability.  O(n) additions.
     """
     if k < 3:
         raise ValueError(f"polygon size must be at least 3, got {k}")
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    vals = [f_sum(k - 1, i) for i in range(k - 2, n + 1)]
-    vals.extend(h_val(k - 1, n, l) for l in range(2, k - 1))
-    return tuple(vals)
+    sums = fib_table(k - 1, n)[1]
+    return tuple(sums[k - 2 :] + _chain(sums, k - 1, n))

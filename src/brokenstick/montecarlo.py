@@ -17,14 +17,12 @@ seeded with
 
     splitmix64((seed + (b + 1) * 0x9E3779B97F4A7C15) mod 2^64)
 
-where splitmix64 is the usual xor-shift finalizer.  Single-threaded and
-multi-threaded runs therefore produce identical results, and each block
-can be reproduced in isolation.
+where splitmix64 is the usual xor-shift finalizer.  Blocks therefore
+never share a stream, and each block can be reproduced in isolation.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 from typing import Sequence
@@ -174,29 +172,17 @@ def _run_block(mode: str, k: int, n: int, block_trials: int, block_seed: int) ->
     return hits
 
 
-def estimate(config: SimConfig, workers: int = 1) -> SimResult:
-    """Run the simulation described by config and return the estimate.
-
-    ``workers`` > 1 runs blocks on a thread pool; the result is
-    identical to the sequential run because every block owns its seed.
-    """
-    if workers < 1:
-        raise ValueError(f"worker count must be positive, got {workers}")
+def estimate(config: SimConfig) -> SimResult:
+    """Run the simulation described by config and return the estimate."""
     n = config.spec.n
     k = n if config.mode == "ngon" else config.spec.k
     base, extra = divmod(config.trials, config.chunks)
     sizes = [base + (1 if b < extra else 0) for b in range(config.chunks)]
-    seeds = [_chunk_seed(config.seed, b) for b in range(config.chunks)]
-    args = [
-        (config.mode, k, n, size, seed)
-        for size, seed in zip(sizes, seeds)
+    hits = sum(
+        _run_block(config.mode, k, n, size, _chunk_seed(config.seed, b))
+        for b, size in enumerate(sizes)
         if size
-    ]
-    if workers == 1:
-        hits = sum(_run_block(*a) for a in args)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(lambda a: _run_block(*a), args))
+    )
     p = hits / config.trials
     return SimResult(
         hits=hits,

@@ -21,19 +21,12 @@ from math import comb, prod, factorial
 from .genfib import parts_multiset
 
 __all__ = [
-    "ExactRational",
     "ProblemSpec",
     "prob_none",
     "prob_exists",
     "prob_forall",
     "prob_ngon",
 ]
-
-# Exact signed rationals, always reduced.  The stdlib type does
-# everything required (arithmetic, comparison, hashing, str as "p/q"),
-# so it is used directly rather than wrapped.
-ExactRational = Fraction
-
 
 @dataclass(frozen=True)
 class ProblemSpec:

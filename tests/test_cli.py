@@ -5,10 +5,11 @@ import io
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
-from brokenstick import __version__
+from brokenstick import ProblemSpec, __version__, prob_none
 from brokenstick.cli import main
 
 
@@ -123,6 +124,19 @@ def test_count_resource_guard_exit(capsys):
 def test_hermite_payload(capsys):
     record = run_json(capsys, "hermite", "--n", "3", "--N-value", "5")
     assert record["result"] == {"count": "3"}
+
+
+def test_exact_values_past_int_str_limit(capsys):
+    # the denominator has over 4300 digits, where Python >= 3.11 refuses
+    # str(int) unless the interpreter-wide limit is raised
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = get_limit()
+    record = run_json(capsys, "prob", "none", "--k", "25", "--n", "250")
+    num, den = record["result"]["probability"].split("/")
+    assert len(den) > 4300
+    want = prob_none(ProblemSpec(25, 250))
+    assert (int(Decimal(num)), int(Decimal(den))) == (want.numerator, want.denominator)
+    assert get_limit() == limit  # left as it was, not raised
 
 
 def test_simulate_payload_and_determinism(capsys):

@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from brokenstick import GenFibTable, f_sum, g_val, gen_fib, h_val, parts_multiset
+from brokenstick import f_sum, fib_table, g_val, gen_fib, h_val, parts_multiset
 
 
 # Independent oracle: the defining recurrence, no tables involved.
@@ -21,6 +21,20 @@ def naive_fib(k: int, n: int) -> int:
 
 def naive_f(k: int, i: int) -> int:
     return sum(naive_fib(k, m) for m in range(0, i + 1))
+
+
+# The derived values, spelled out from their docstrings on top of naive_f.
+def naive_g(k: int, n: int, j: int) -> int:
+    return 1 + sum(naive_f(k, n - l) for l in range(2, j + 1))
+
+
+def naive_h(k: int, n: int, l: int) -> int:
+    return naive_f(k, n) + sum(naive_g(k, n, k + 1 - j) for j in range(2, l + 1))
+
+
+def naive_parts(k: int, n: int) -> tuple[int, ...]:
+    sums = [naive_f(k - 1, i) for i in range(k - 2, n + 1)]
+    return tuple(sums + [naive_h(k - 1, n, l) for l in range(2, k - 1)])
 
 
 def test_order2_is_fibonacci():
@@ -39,6 +53,9 @@ def test_matches_naive_recurrence(k):
     for n in range(0, 26):
         assert gen_fib(k, n) == naive_fib(k, n)
         assert f_sum(k, n) == naive_f(k, n)
+    terms, sums = fib_table(k, 25)
+    assert terms == [naive_fib(k, n) for n in range(26)]
+    assert sums == [naive_f(k, n) for n in range(26)]
 
 
 def test_known_terms():
@@ -104,6 +121,17 @@ def test_g_boundary_identity():
             assert g_val(k, n, k) == f_sum(k, n) - f_sum(k, n - 1)
 
 
+@given(st.integers(min_value=3, max_value=15), st.integers(min_value=0, max_value=40))
+def test_derived_values_match_definitions(k, extra):
+    # long h chains (large k) and wide g windows against the naive sums
+    n = k + extra
+    assert [g_val(k, n, j) for j in range(2, k + 1)] == [
+        naive_g(k, n, j) for j in range(2, k + 1)
+    ]
+    assert [h_val(k, n, l) for l in range(2, k)] == [naive_h(k, n, l) for l in range(2, k)]
+    assert parts_multiset(k, n) == naive_parts(k, n)
+
+
 def test_parts_multiset_values():
     assert sorted(parts_multiset(3, 4)) == [1, 2, 4, 7]
     assert sorted(parts_multiset(4, 6)) == [1, 2, 4, 8, 15, 20]
@@ -137,20 +165,13 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         h_val(3, 5, 1)
     with pytest.raises(ValueError):
+        h_val(3, 5, 3)  # the chain would need a g window of width 1
+    with pytest.raises(ValueError):
+        g_val(3, 5, 6)  # the window would reach below index 0
+    with pytest.raises(ValueError):
         parts_multiset(2, 5)
     with pytest.raises(ValueError):
         parts_multiset(4, 3)
-    with pytest.raises(ValueError):
-        GenFibTable(1)
-
-
-def test_table_object_grows_on_demand():
-    tab = GenFibTable(3)
-    assert tab.fib(9) == 44
-    assert tab.partial_sum(9) == 96
-    # repeated queries keep returning the same values
-    assert tab.fib(9) == 44
-    assert tab.fib(4) == 2
 
 
 def test_monotone_growth():

@@ -107,11 +107,6 @@ def test_estimate_is_deterministic():
     assert estimate(config) == estimate(config)
 
 
-def test_estimate_ignores_worker_count():
-    config = SimConfig(spec=ProblemSpec(4, 5), mode="none", trials=30_000, seed=11, chunks=6)
-    assert estimate(config) == estimate(config, workers=3)
-
-
 def test_estimate_chunking_changes_stream_but_not_contract():
     # different chunk counts draw different numbers, but each setting is
     # itself reproducible and all estimates agree statistically
@@ -168,8 +163,6 @@ def test_config_validation():
         SimConfig(spec=spec, mode="none", trials=10, chunks=0)
     with pytest.raises(ValueError):
         SimConfig(spec=spec, mode="none", trials=10, seed=-1)
-    with pytest.raises(ValueError):
-        estimate(SimConfig(spec=spec, mode="none", trials=10), workers=0)
 
 
 def test_chunk_seeds_are_spread_out():
