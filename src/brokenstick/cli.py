@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
@@ -155,24 +156,21 @@ def _cmd_omega(args) -> tuple[dict, int]:
     params = {"k": args.k, "n": args.n, "trace": bool(args.trace)}
     if args.trace:
         product, steps = run_elimination(spec, trace=True)
-        result = {
-            "exponents": list(product.exponents),
-            "sorted_exponents": list(product.sorted_exponents()),
-            "steps": [
-                {
-                    "var": str(step.var),
-                    "consumed": list(step.consumed),
-                    "produced": [fac.monomial() for fac in step.produced],
-                }
-                for step in steps
-            ],
-        }
     else:
         product = run_elimination(spec)
-        result = {
-            "exponents": list(product.exponents),
-            "sorted_exponents": list(product.sorted_exponents()),
-        }
+    result: dict = {
+        "exponents": list(product.exponents),
+        "sorted_exponents": list(product.sorted_exponents()),
+    }
+    if args.trace:
+        result["steps"] = [
+            {
+                "var": str(step.var),
+                "consumed": list(step.consumed),
+                "produced": [fac.monomial() for fac in step.produced],
+            }
+            for step in steps
+        ]
     return _record("omega", params, result), 0
 
 
@@ -214,15 +212,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
         seed=args.seed,
         chunks=args.chunks,
     )
-    result = estimate(config)
-    payload = {
-        "hits": result.hits,
-        "trials": result.trials,
-        "estimate": result.estimate,
-        "stderr": result.stderr,
-        "seed": result.seed,
-        "chunks": result.chunks,
-    }
+    payload = asdict(estimate(config))
     params = {
         "mode": args.mode,
         "k": args.k,

@@ -75,9 +75,7 @@ def _chain(sums: list[int], k: int, n: int) -> list[int]:
 def g_val(k: int, n: int, j: int) -> int:
     """1 + f_k(n-2) + f_k(n-3) + ... + f_k(n-j).
 
-    Defined for 2 <= j <= n and n >= k.  The sum telescopes against the
-    running sums: g_k(k-1) equals f_k(n) - f_k(n-1) for the orders where
-    both sides are defined.
+    Defined for 2 <= j <= n and n >= k.
     """
     if k < 2:
         raise ValueError(f"sequence order must be at least 2, got {k}")

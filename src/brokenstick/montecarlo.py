@@ -19,6 +19,10 @@ seeded with
 
 where splitmix64 is the usual xor-shift finalizer.  Blocks therefore
 never share a stream, and each block can be reproduced in isolation.
+
+A block is drawn in slabs of max(1, 2^22 // n) trials, so each float64
+array of a slab stays near 32 MiB at any n.  PCG64 fills rows one after
+another, so hits do not depend on the slab size.
 """
 
 from __future__ import annotations
@@ -50,9 +54,8 @@ DEFAULT_CHUNKS = 8
 
 MODES = ("none", "exists", "forall", "ngon")
 
-# Rows of uniforms drawn per generator call; keeps peak memory flat for
-# large blocks without changing the stream (PCG64 fills sequentially).
-_SLAB_ROWS = 1 << 18
+# Floats per slab array (32 MiB of float64); see the module docstring.
+_SLAB_FLOATS = 1 << 22
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -160,8 +163,9 @@ def _run_block(mode: str, k: int, n: int, block_trials: int, block_seed: int) ->
     rng = np.random.default_rng(block_seed)
     hits = 0
     left = block_trials
+    slab_rows = max(1, _SLAB_FLOATS // n)
     while left:
-        rows = min(left, _SLAB_ROWS)
+        rows = min(left, slab_rows)
         cuts = rng.random((rows, n - 1))
         cuts.sort(axis=1)
         pieces = np.diff(cuts, axis=1, prepend=0.0, append=1.0)

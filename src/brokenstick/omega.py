@@ -36,9 +36,11 @@ repeated +1, an exponent of magnitude >= 2, a missing +1) raises
 Eliminating all markers of a crude form built here, window markers
 first and then the chain markers in index order, leaves a product of
 plain factors 1/(1 - q^e); the exponent multiset is returned as a
-``ClosedProduct``.  For every (k, n) it coincides with the step-
-Fibonacci prediction of ``genfib.parts_multiset``, which is what makes
-the closed probability formulas work.
+``ClosedProduct``.  Each marker's shape is checked once, by its own
+step; a pass after the last step rejects any marker left over.  For
+every (k, n) the product coincides with the step-Fibonacci prediction
+of ``genfib.parts_multiset``, which is what makes the closed
+probability formulas work.
 """
 
 from __future__ import annotations
@@ -279,26 +281,6 @@ def eliminate(form: CrudeForm, var: Var) -> CrudeForm:
     return new_form
 
 
-def _check_discipline(form: CrudeForm, remaining: set[Var]) -> None:
-    # Engine invariant: markers not yet eliminated must still be in the
-    # +-1 fragment with a unique +1 factor each.
-    plus_seen: set[Var] = set()
-    for pos, fac in enumerate(form.factors):
-        for var, e in fac.powers.items():
-            if var not in remaining:
-                raise ShapeError(
-                    f"eliminated or unknown marker {var} survives in factor {pos}"
-                )
-            if e == 1:
-                if var in plus_seen:
-                    raise ShapeError(f"{var} has two +1 factors after a step")
-                plus_seen.add(var)
-            elif e != -1:
-                raise ShapeError(
-                    f"{var} has exponent {e} in factor {pos} after a step"
-                )
-
-
 @overload
 def run_elimination(
     spec: ProblemSpec, trace: Literal[False] = ...
@@ -316,20 +298,22 @@ def run_elimination(spec, trace=False):
 
     Returns the resulting ``ClosedProduct``, or with ``trace=True`` a
     pair (product, steps) where steps has one ``EliminationStep`` per
-    marker in elimination order.  The +-1 discipline of the remaining
-    markers is checked after every step; a violation means the engine
+    marker in elimination order.  Each step checks the +-1 shape of
+    its own marker, and a final pass rejects any marker left over
+    (one the order never named); either violation means the engine
     itself is broken and surfaces as ``ShapeError``.
     """
     form = build_crude(spec)
-    order = elimination_order(spec)
-    remaining = set(order)
     steps: list[EliminationStep] = []
-    for var in order:
+    for var in elimination_order(spec):
         form, step = _eliminate_step(form, var)
-        remaining.discard(var)
-        _check_discipline(form, remaining)
         if trace:
             steps.append(step)
+    for pos, fac in enumerate(form.factors):
+        if fac.powers:
+            raise ShapeError(
+                f"marker {min(fac.powers)} survives elimination in factor {pos}"
+            )
     product = ClosedProduct(tuple(fac.q_exp for fac in form.factors))
     if trace:
         return product, steps

@@ -66,19 +66,23 @@ def prob_forall(spec: ProblemSpec) -> Fraction:
         (n (n-1) ... (n-k+3) / m) *
             sum_{j=1}^{m} (-1)^(j+1) j^-(k-3) C(m, j) / rising(m/j + 1, k-2)
 
-    where rising(x, r) = x (x+1) ... (x+r-1).  Every term is rational,
-    so the sum is evaluated exactly.
+    where rising(x, r) = x (x+1) ... (x+r-1).  The identities
+    rising(m/j + 1, k-2) = prod_{i=1}^{k-2} (m + i j) / j^(k-2) and
+    j C(m, j) = m C(m-1, j-1) make each term one integer ratio:
+
+        n (n-1) ... (n-k+3) *
+            sum_{j=1}^{m} (-1)^(j+1) C(m-1, j-1) / prod_{i=1}^{k-2} (m + i j)
     """
     k, n = spec.k, spec.n
     m = n - k + 2
-    lead = Fraction(prod(range(n - k + 3, n + 1)), m)
-    total = Fraction(0)
-    for j in range(1, m + 1):
-        base = Fraction(m, j) + 1
-        rising = prod((base + i for i in range(k - 2)), start=Fraction(1))
-        term = Fraction(comb(m, j), j ** (k - 3)) / rising
-        total += term if j % 2 == 1 else -term
-    return lead * total
+    total = sum(
+        Fraction(
+            (-1) ** (j + 1) * comb(m - 1, j - 1),
+            prod(m + i * j for i in range(1, k - 1)),
+        )
+        for j in range(1, m + 1)
+    )
+    return prod(range(n - k + 3, n + 1)) * total
 
 
 def prob_ngon(n: int) -> Fraction:

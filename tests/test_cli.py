@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
 
 import pytest
 
+import brokenstick
 from brokenstick import ProblemSpec, __version__, prob_none
 from brokenstick.cli import main
 
@@ -238,7 +240,11 @@ def test_version_flag(capsys):
     assert __version__ in out
 
 
-def test_module_entry_point():
+def test_module_entry_point(monkeypatch):
+    # the child interpreter imports the same package as this one
+    src = os.path.dirname(os.path.dirname(brokenstick.__file__))
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(path))
     proc = subprocess.run(
         [sys.executable, "-m", "brokenstick.cli", "prob", "none", "--k", "4", "--n", "4"],
         capture_output=True,

@@ -14,7 +14,8 @@ from brokenstick import (
     predicate_none,
     prob_ngon,
 )
-from brokenstick.montecarlo import _chunk_seed, _run_block
+from brokenstick import montecarlo
+from brokenstick.montecarlo import MODES, _chunk_seed, _run_block
 
 
 def sorted_pieces(values):
@@ -100,6 +101,18 @@ def test_vectorized_forall_matches_scalar():
     rng = np.random.default_rng(seed)
     expected = sum(predicate_forall(break_stick(n, rng), k) for _ in range(trials))
     assert hits == expected
+
+
+def test_slab_size_does_not_change_hits(monkeypatch):
+    # slabs only bound memory: a block sliced into slabs of a few rows,
+    # or of a single row when the budget is below n, draws the same
+    # stream and counts the same hits as one whole-block slab
+    k, n, trials = 3, 6, 1000
+    seed = _chunk_seed(DEFAULT_SEED, 2)
+    whole = {mode: _run_block(mode, k, n, trials, seed) for mode in MODES}
+    for budget in (3 * n + 1, n - 1):
+        monkeypatch.setattr(montecarlo, "_SLAB_FLOATS", budget)
+        assert {mode: _run_block(mode, k, n, trials, seed) for mode in MODES} == whole
 
 
 def test_estimate_is_deterministic():

@@ -15,6 +15,7 @@ from brokenstick import (
     parts_multiset,
     run_elimination,
 )
+from brokenstick import omega
 from brokenstick.omega import LAMBDA, MU, elimination_order
 
 
@@ -136,6 +137,37 @@ def test_eliminate_shape_errors():
         eliminate(
             CrudeForm((CrudeFactor(1, {v: 1}), CrudeFactor(2, {v: -2}))), v
         )  # exponent -2
+
+
+def _crude_with(spec, edits):
+    # crude form for spec with some factors' marker powers overwritten
+    factors = list(build_crude(spec).factors)
+    for pos, changes in edits.items():
+        factors[pos] = CrudeFactor(factors[pos].q_exp, {**factors[pos].powers, **changes})
+    return CrudeForm(tuple(factors))
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        # a marker elimination_order never names: only the final check sees it
+        ({2: {Var("nu", 1): 1}, 3: {Var("nu", 1): -1}}, "nu_1 survives"),
+        # the last chain marker gains a second +1 factor; it is only met
+        # after every window marker has been eliminated
+        ({0: {mu(4): 1}}, r"mu_4 appears with exponent \+1 in factors"),
+        # exponent 2 on a window marker that is eliminated after the first
+        ({2: {lam(2): 2}}, "lambda_2 appears with exponent 2"),
+    ],
+    ids=["unknown-marker", "late-double-plus", "exponent-2"],
+)
+def test_run_elimination_rejects_broken_crude_forms(monkeypatch, edits, message):
+    spec = ProblemSpec(3, 5)  # markers lambda_1..3, then mu_4
+    broken = _crude_with(spec, edits)
+    monkeypatch.setattr(omega, "build_crude", lambda s: broken)
+    with pytest.raises(ShapeError, match=message):
+        run_elimination(spec)
+    with pytest.raises(ShapeError, match=message):
+        run_elimination(spec, trace=True)
 
 
 def test_factor_validation():

@@ -47,6 +47,32 @@ def test_ngon_known_values():
         prob_ngon(2)
 
 
+def renyi_forall(k, n):
+    # Renyi 1953: the sorted pieces are normalised order statistics of
+    # i.i.d. Exp(1) variables E_1..E_n, so "largest piece < sum of the
+    # k - 1 smallest" is the linear event sum_j c_j E_j > 0 with
+    # c_j = (max(0, k - j) - 1) / (n - j + 1).  For distinct c_j,
+    # P(sum c_j E_j > 0) = sum_{c_j > 0} prod_{i != j} c_j / (c_j - c_i).
+    c = [Fraction(max(0, k - j) - 1, n - j + 1) for j in range(1, n + 1)]
+    total = Fraction(0)
+    for j, cj in enumerate(c):
+        if cj > 0:
+            term = Fraction(1)
+            for i, ci in enumerate(c):
+                if i != j:
+                    term *= cj / (cj - ci)
+            total += term
+    return total
+
+
+def test_forall_and_ngon_match_renyi_partial_fractions():
+    for k in range(3, 9):
+        for n in range(k, k + 12):
+            assert prob_forall(ProblemSpec(k, n)) == renyi_forall(k, n), (k, n)
+    for n in range(3, 15):
+        assert prob_ngon(n) == renyi_forall(n, n), n
+
+
 def test_triangle_closed_forms():
     # two independent published forms for k = 3: the no-triangle
     # probability via shifted Fibonacci factors and the all-triangles
