@@ -20,7 +20,7 @@ import io
 import json
 import sys
 from dataclasses import asdict
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,6 +43,14 @@ __all__ = ["build_parser", "main"]
 _EVENTS = ("none", "exists", "forall", "ngon")
 _ORACLES = ("brute", "parts", "series")
 
+# prob none|exists refuse a denominator that may exceed this many bits,
+# its size at n = 4000 (about 0.15 n^2 digits for k >= 10), so every
+# n <= 4000 is served and larger n only for k near n.  Product plus
+# rendering grow like M(digits) log n, about n^3.2 in practice: 1 s at
+# n = 2000 and 8-10 s at n = 4000 on a 2-core host, so a refused
+# request would have run for about 10 s or more.
+_PROB_NONE_MAX_BITS = 8_000_000
+
 # verify flags that each suite accepts, as CLI attr -> suite kwarg.
 _SUITE_FLAGS: dict[str, dict[str, str]] = {
     "lemma1": {"max_total": "max_total"},
@@ -53,10 +61,54 @@ _SUITE_FLAGS: dict[str, dict[str, str]] = {
 }
 
 
+def _none_denominator_bits(k: int, n: int) -> int:
+    # Upper bound on log2 of the prob none denominator: its n - k + 3
+    # running sums start at 1 and at most double at each step, and each
+    # of its k - 3 chain values is at most k times the largest sum.
+    m = n - k + 2
+    return m * (m + 1) // 2 + (k - 3) * (m + k.bit_length())
+
+
+# Ints up to this many bits convert with Decimal(int) directly.
+_DIRECT_BITS = 128
+
+
+def _to_decimal(value: int) -> Decimal:
+    # Exact int -> Decimal by splitting the bits in halves and joining
+    # the halves as lo + hi * 2^w in decimal.  Decimal(int) alone is
+    # quadratic in the digit count; libmpdec multiplies large operands
+    # by number-theoretic transform, so the split costs O(M(d) log d).
+    if value.bit_length() <= _DIRECT_BITS:
+        return Decimal(value)
+    two = Decimal(2)
+    powers: dict[int, Decimal] = {}  # 2^w by w; at most two per level
+
+    def split(v: int, w: int) -> Decimal:
+        # 0 <= v < 2^w
+        if w <= _DIRECT_BITS:
+            return Decimal(v)
+        half = w >> 1
+        if half not in powers:
+            powers[half] = two**half
+        hi = v >> half
+        return split(v - (hi << half), half) + split(hi, w - half) * powers[half]
+
+    with localcontext() as ctx:
+        # Wide enough for any value, and any rounding raises.
+        ctx.prec = MAX_PREC
+        ctx.Emax = MAX_EMAX
+        ctx.traps[Inexact] = True
+        result = split(abs(value), value.bit_length())
+        return -result if value < 0 else result
+
+
 def _digits(value: int) -> str:
     # Decimal prints every digit; str(int) stops at the interpreter's
     # int-to-str limit (4300 digits by default since Python 3.11).
-    return str(Decimal(value))
+    # Cost O(M(d) log d) for d digits, with libmpdec's transform
+    # multiplication M(d) ~ d log d: about 60 ms for 150k digits and
+    # 0.3 s for 600k on a 2-core host.
+    return str(_to_decimal(value))
 
 
 def _encode(value):
@@ -90,7 +142,7 @@ def _decimal_str(value: Fraction, digits: int) -> str:
         raise ValueError(f"need at least 1 significant digit, got {digits}")
     with localcontext() as ctx:
         ctx.prec = digits
-        quotient = Decimal(value.numerator) / Decimal(value.denominator)
+        quotient = _to_decimal(value.numerator) / _to_decimal(value.denominator)
     return str(quotient)
 
 
@@ -132,6 +184,12 @@ def _cmd_prob(args) -> tuple[dict, int]:
         if args.k is None:
             raise ValueError(f"prob {args.event} needs --k")
         spec = ProblemSpec(args.k, args.n)
+        bits = _none_denominator_bits(args.k, args.n)
+        if args.event in ("none", "exists") and bits > _PROB_NONE_MAX_BITS:
+            raise ResourceLimitError(
+                f"prob {args.event} at k={args.k}, n={args.n} has a denominator of up"
+                f" to {bits} bits (limit {_PROB_NONE_MAX_BITS})"
+            )
         value = {"none": prob_none, "exists": prob_exists, "forall": prob_forall}[
             args.event
         ](spec)

