@@ -19,7 +19,6 @@ from .probability import (
 from .omega import (
     ClosedProduct,
     CrudeFactor,
-    CrudeForm,
     EliminationStep,
     ShapeError,
     Var,
@@ -64,7 +63,6 @@ __all__ = [
     "Var",
     "ShapeError",
     "CrudeFactor",
-    "CrudeForm",
     "ClosedProduct",
     "EliminationStep",
     "build_crude",

@@ -51,6 +51,25 @@ _ORACLES = ("brute", "parts", "series")
 # request would have run for about 10 s or more.
 _PROB_NONE_MAX_BITS = 8_000_000
 
+# fib prints 2 (upto + 1) ints of up to upto bits each (the growth ratio
+# is below 2), so output and memory grow like upto^2 and rendering like
+# upto^3.  On a 2-core host: k = 2 takes 6.2 s and 317 MiB at upto =
+# 20000, 20 s and 668 MiB at 30000; k = 40 takes 13 s at 20000.  Past
+# this bound even k = 2 would run for about 10 s or more.
+_FIB_MAX_UPTO = 24_000
+
+# omega does about n^2 + (n - k + 1) k^2 steps (see the omega module).
+# With output they took 0.1-0.2 us each on a 2-core host ((3, 8000)
+# 7.0 s, (200, 2000) 7.3 s, (50, 4000) 5.6 s), so a refused request
+# would run for about 10 s or more.
+_OMEGA_MAX_STEPS = 10**8
+# omega --trace keeps every rewritten factor: about 24 bytes per unit of
+# (n - k + 1) k^2 for their markers plus k n^2 bytes for their q
+# exponents, whose bit length grows with the step.  This matched peak RSS
+# within 10 % at (100, 1000) 332 MiB, (50, 2000) 320 MiB, (200, 600)
+# 452 MiB and (10, 4000) 166 MiB.
+_OMEGA_MAX_TRACE_BYTES = 1 << 30
+
 # verify flags that each suite accepts, as CLI attr -> suite kwarg.
 _SUITE_FLAGS: dict[str, dict[str, str]] = {
     "lemma1": {"max_total": "max_total"},
@@ -69,8 +88,17 @@ def _none_denominator_bits(k: int, n: int) -> int:
     return m * (m + 1) // 2 + (k - 3) * (m + k.bit_length())
 
 
-# Ints up to this many bits convert with Decimal(int) directly.
-_DIRECT_BITS = 128
+def _omega_cost(k: int, n: int) -> tuple[int, int]:
+    # (steps, bytes --trace keeps), by the cost model of _OMEGA_MAX_STEPS.
+    rewritten = (n - k + 1) * k * k
+    return n * n + rewritten, 24 * rewritten + k * n * n
+
+
+# Ints up to this many bits convert with Decimal(int) directly: near the
+# measured crossover, where plain str(Decimal(v)) against the split below
+# took 3.4 against 19 us at 1024 bits, 36 against 89 us at 4096, 0.51
+# against 0.66 ms at 16384 and 8.0 against 4.6 ms at 65536 (2-core host).
+_DIRECT_BITS = 1 << 14
 
 
 def _to_decimal(value: int) -> Decimal:
@@ -137,13 +165,13 @@ def _record(command: str, params: dict, result) -> dict:
     }
 
 
-def _decimal_str(value: Fraction, digits: int) -> str:
+def _decimal_str(num: Decimal, den: Decimal, digits: int) -> str:
+    # num / den correctly rounded (half even) to the given significant digits.
     if digits < 1:
         raise ValueError(f"need at least 1 significant digit, got {digits}")
     with localcontext() as ctx:
         ctx.prec = digits
-        quotient = _to_decimal(value.numerator) / _to_decimal(value.denominator)
-    return str(quotient)
+        return str(num / den)
 
 
 def _flatten(value, prefix: str, out: dict) -> None:
@@ -197,13 +225,17 @@ def _cmd_prob(args) -> tuple[dict, int]:
     result: dict = {"probability": value}
     if args.decimal is not None:
         params["decimal"] = args.decimal
-        result["decimal"] = _decimal_str(value, args.decimal)
+        # The fraction string and the quotient share one conversion of each operand.
+        num, den = _to_decimal(value.numerator), _to_decimal(value.denominator)
+        result = {"probability": f"{num}/{den}", "decimal": _decimal_str(num, den, args.decimal)}
     return _record("prob", params, result), 0
 
 
 def _cmd_fib(args) -> tuple[dict, int]:
     if args.upto < 0:
         raise ValueError(f"--upto must be nonnegative, got {args.upto}")
+    if args.upto > _FIB_MAX_UPTO:
+        raise ResourceLimitError(f"fib --upto {args.upto} is past the limit {_FIB_MAX_UPTO}")
     terms, sums = fib_table(args.k, args.upto)
     result = {"terms": terms, "partial_sums": sums}
     return _record("fib", {"k": args.k, "upto": args.upto}, result), 0
@@ -211,6 +243,17 @@ def _cmd_fib(args) -> tuple[dict, int]:
 
 def _cmd_omega(args) -> tuple[dict, int]:
     spec = ProblemSpec(args.k, args.n)
+    work, trace_bytes = _omega_cost(args.k, args.n)
+    if work > _OMEGA_MAX_STEPS:
+        raise ResourceLimitError(
+            f"omega at k={args.k}, n={args.n} takes about {work} steps"
+            f" (limit {_OMEGA_MAX_STEPS})"
+        )
+    if args.trace and trace_bytes > _OMEGA_MAX_TRACE_BYTES:
+        raise ResourceLimitError(
+            f"omega --trace at k={args.k}, n={args.n} keeps about {trace_bytes} bytes"
+            f" (limit {_OMEGA_MAX_TRACE_BYTES})"
+        )
     params = {"k": args.k, "n": args.n, "trace": bool(args.trace)}
     if args.trace:
         product, steps = run_elimination(spec, trace=True)

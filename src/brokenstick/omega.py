@@ -41,6 +41,14 @@ step; a pass after the last step rejects any marker left over.  For
 every (k, n) the product coincides with the step-Fibonacci prediction
 of ``genfib.parts_multiset``, which is what makes the closed
 probability formulas work.
+
+``run_elimination`` rewrites one list of factors in place, one pass per
+marker.  Each pass scans all n factors for the marker's carriers, and
+each of the n - k + 1 window markers rewrites about k factors of up to
+k entries, so the work is about n^2 + (n - k + 1) k^2 steps; the trace
+keeps every rewritten factor, O((n - k + 1) k^2) marker entries.  Best
+of 3 on a 2-core host: (30, 300) 50 ms, (50, 1000) 0.40 s, (50, 2000)
+0.92 s, (200, 2000) 7.5 s.
 """
 
 from __future__ import annotations
@@ -56,7 +64,6 @@ __all__ = [
     "Var",
     "ShapeError",
     "CrudeFactor",
-    "CrudeForm",
     "ClosedProduct",
     "EliminationStep",
     "build_crude",
@@ -116,9 +123,6 @@ class CrudeFactor:
         if any(e == 0 for e in self.powers.values()):
             raise ValueError("zero marker exponents must be dropped, not stored")
 
-    def exponent_of(self, var: Var) -> int:
-        return self.powers.get(var, 0)
-
     def without(self, var: Var) -> "CrudeFactor":
         """Copy with var removed from the monomial."""
         return CrudeFactor(
@@ -142,28 +146,6 @@ class CrudeFactor:
 
     def __repr__(self) -> str:
         return f"CrudeFactor({self.monomial()})"
-
-
-@dataclass(frozen=True)
-class CrudeForm:
-    """Ordered product of crude factors.
-
-    Order is the construction order (piece 1 first).  Elimination
-    rewrites factors in place, so positions stay aligned with pieces
-    and traces are reproducible.
-    """
-
-    factors: tuple[CrudeFactor, ...]
-
-    def variables(self) -> set[Var]:
-        seen: set[Var] = set()
-        for fac in self.factors:
-            seen.update(fac.powers)
-        return seen
-
-    def __repr__(self) -> str:
-        inner = ", ".join(fac.monomial() for fac in self.factors)
-        return f"CrudeForm[{inner}]"
 
 
 @dataclass(frozen=True)
@@ -198,8 +180,12 @@ class EliminationStep:
     produced: tuple[CrudeFactor, ...]
 
 
-def build_crude(spec: ProblemSpec) -> CrudeForm:
+def build_crude(spec: ProblemSpec) -> tuple[CrudeFactor, ...]:
     """Crude form of the no-polygon system for (k, n): one factor per piece.
+
+    Factor i - 1 belongs to piece i; elimination rewrites factors at
+    their positions, so positions stay aligned with pieces and traces
+    are reproducible.
 
     Piece i (1-based) carries marker exponents
 
@@ -225,7 +211,7 @@ def build_crude(spec: ProblemSpec) -> CrudeForm:
         if i >= n - k + 3:
             powers[Var(MU, i - 1)] = -1
         factors.append(CrudeFactor(1, powers))
-    return CrudeForm(tuple(factors))
+    return tuple(factors)
 
 
 def elimination_order(spec: ProblemSpec) -> list[Var]:
@@ -236,13 +222,15 @@ def elimination_order(spec: ProblemSpec) -> list[Var]:
     return order
 
 
-def _eliminate_step(form: CrudeForm, var: Var) -> tuple[CrudeForm, EliminationStep]:
+def _eliminate(factors: list[CrudeFactor], var: Var) -> EliminationStep:
+    # Rewrites factors in place.  Each -1 carrier is merged with the +1
+    # factor as it stands: var^-1 cancels against its var^+1, so every
+    # rewritten factor is built once.
     plus_pos = None
     minus_pos: list[int] = []
-    for pos, fac in enumerate(form.factors):
-        e = fac.exponent_of(var)
-        if e == 0:
-            continue
+    carriers = [pos for pos, fac in enumerate(factors) if var in fac.powers]
+    for pos in carriers:
+        e = factors[pos].powers[var]
         if e == 1:
             if plus_pos is not None:
                 raise ShapeError(
@@ -258,27 +246,29 @@ def _eliminate_step(form: CrudeForm, var: Var) -> tuple[CrudeForm, EliminationSt
     if plus_pos is None:
         raise ShapeError(f"no factor carries {var} with exponent +1")
 
-    x1 = form.factors[plus_pos].without(var)
-    out = list(form.factors)
-    out[plus_pos] = x1
+    plus = factors[plus_pos]
     for pos in minus_pos:
-        out[pos] = form.factors[pos].without(var).merged_with(x1)
+        factors[pos] = factors[pos].merged_with(plus)
+    factors[plus_pos] = plus.without(var)
     consumed = (plus_pos, *minus_pos)
-    produced = tuple(out[pos] for pos in consumed)
-    step = EliminationStep(var=var, consumed=consumed, produced=produced)
-    return CrudeForm(tuple(out)), step
+    return EliminationStep(var, consumed, tuple(factors[pos] for pos in consumed))
 
 
-def eliminate(form: CrudeForm, var: Var) -> CrudeForm:
-    """Eliminate one marker; every other factor is left untouched.
+def eliminate(
+    factors: tuple[CrudeFactor, ...], var: Var
+) -> tuple[CrudeFactor, ...]:
+    """Eliminate one marker; returns new factors, the input is left as is.
 
     Requires the marker to occur with exponent +1 in exactly one factor
     and -1 elsewhere (``ShapeError`` otherwise).  The +1 factor's
     monomial, with the marker removed, is multiplied into each -1
-    factor independently.
+    factor independently; factors without the marker are kept as they
+    are, at the same positions.  Costs one scan of the factors plus one
+    merge per -1 factor, O(len(factors) + carriers * entries).
     """
-    new_form, _ = _eliminate_step(form, var)
-    return new_form
+    out = list(factors)
+    _eliminate(out, var)
+    return tuple(out)
 
 
 @overload
@@ -303,18 +293,18 @@ def run_elimination(spec, trace=False):
     (one the order never named); either violation means the engine
     itself is broken and surfaces as ``ShapeError``.
     """
-    form = build_crude(spec)
+    factors = list(build_crude(spec))
     steps: list[EliminationStep] = []
     for var in elimination_order(spec):
-        form, step = _eliminate_step(form, var)
+        step = _eliminate(factors, var)
         if trace:
             steps.append(step)
-    for pos, fac in enumerate(form.factors):
+    for pos, fac in enumerate(factors):
         if fac.powers:
             raise ShapeError(
                 f"marker {min(fac.powers)} survives elimination in factor {pos}"
             )
-    product = ClosedProduct(tuple(fac.q_exp for fac in form.factors))
+    product = ClosedProduct(tuple(fac.q_exp for fac in factors))
     if trace:
         return product, steps
     return product

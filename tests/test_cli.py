@@ -16,10 +16,16 @@ import pytest
 import brokenstick
 from brokenstick import ProblemSpec, __version__, parts_multiset, prob_exists, prob_none
 from brokenstick.cli import (
+    _DIRECT_BITS,
+    _FIB_MAX_UPTO,
+    _OMEGA_MAX_STEPS,
+    _OMEGA_MAX_TRACE_BYTES,
     _PROB_NONE_MAX_BITS,
     _decimal_str,
     _digits,
     _none_denominator_bits,
+    _omega_cost,
+    _to_decimal,
     main,
 )
 
@@ -49,6 +55,10 @@ def test_prob_decimal_digits(capsys):
     assert record["result"]["decimal"] == "0.1704545455"
     record = run_json(capsys, "prob", "none", "--k", "4", "--n", "6", "--decimal", "4")
     assert record["result"] == {"probability": "3/80", "decimal": "0.0375"}
+    # past the direct-conversion size the fraction string is unchanged
+    args = ("prob", "exists", "--k", "25", "--n", "250")
+    exact = run_json(capsys, *args)["result"]["probability"]
+    assert run_json(capsys, *args, "--decimal", "30")["result"]["probability"] == exact
 
 
 def test_prob_ngon_needs_no_k(capsys):
@@ -154,6 +164,12 @@ def test_digits_match_plain_decimal():
     values = [0, 1, -1, 2**128 - 1, 2**128, 2**128 + 1]
     values += [2**w for w in range(124, 134)]
     values += [2**w + s for w in (255, 256, 257, 511, 512, 513, 4099) for s in (-1, 0, 1)]
+    values += [
+        2**w + s
+        for w in range(_DIRECT_BITS - 2, _DIRECT_BITS + 3)
+        for s in (-1, 0, 1)
+    ]
+    values += [-(2**_DIRECT_BITS) - 1, 2 ** (2 * _DIRECT_BITS) + 1]
     values += [10**j + s for j in (1, 38, 39, 40, 1000, 4301, 10**4, 10**5) for s in (-1, 0)]
     rng = random.Random(4)
     for bits in (129, 300, 5000, 70_000, 300_000):
@@ -175,18 +191,23 @@ def test_decimal_str_matches_decimal_division():
     ]
     for k, n in [(3, 3), (4, 5), (6, 20), (10, 60), (25, 250), (50, 500)]:
         values += [prob_none(ProblemSpec(k, n)), prob_exists(ProblemSpec(k, n))]
+
+    def decimal_str(value, digits):
+        num, den = _to_decimal(value.numerator), _to_decimal(value.denominator)
+        return _decimal_str(num, den, digits)
+
     for value in values:
         num, den = Decimal(value.numerator), Decimal(value.denominator)
         for digits in range(1, 61):
             with localcontext() as ctx:
                 ctx.prec = digits
                 want = str(num / den)
-            assert _decimal_str(value, digits) == want, (value, digits)
+            assert decimal_str(value, digits) == want, (value, digits)
     # terminating values keep their length; ties round half to even
-    assert _decimal_str(Fraction(1, 4), 5) == "0.25"
-    assert _decimal_str(Fraction(1, 8), 2) == "0.12"
-    assert _decimal_str(Fraction(5, 8), 2) == "0.62"
-    assert _decimal_str(Fraction(5, 8), 1) == "0.6"
+    assert decimal_str(Fraction(1, 4), 5) == "0.25"
+    assert decimal_str(Fraction(1, 8), 2) == "0.12"
+    assert decimal_str(Fraction(5, 8), 2) == "0.62"
+    assert decimal_str(Fraction(5, 8), 1) == "0.6"
 
 
 def test_prob_none_refuses_denominators_past_bound(capsys):
@@ -201,6 +222,30 @@ def test_prob_none_refuses_denominators_past_bound(capsys):
             assert f"limit {_PROB_NONE_MAX_BITS}" in err
     record = run_json(capsys, "prob", "none", "--k", "4001", "--n", "4001")
     assert record["result"]["probability"] == f"4001/{_digits(2**4000)}"
+
+
+def test_fib_refuses_upto_past_bound(capsys):
+    code, out, err = run_cli(capsys, "fib", "--k", "2", "--upto", str(_FIB_MAX_UPTO + 1))
+    assert (code, out) == (3, "")
+    assert f"limit {_FIB_MAX_UPTO}" in err
+
+
+def test_omega_refuses_work_past_bound(capsys):
+    # k = 3: n^2 + 9 (n - 2) steps pass 10^8 at n = 9996
+    assert _omega_cost(3, 9_995)[0] <= _OMEGA_MAX_STEPS < _omega_cost(3, 9_996)[0]
+    for trace in ((), ("--trace",)):
+        code, out, err = run_cli(capsys, "omega", "--k", "3", "--n", "9996", *trace)
+        assert (code, out) == (3, "")
+        assert f"limit {_OMEGA_MAX_STEPS}" in err
+
+
+def test_omega_refuses_trace_memory_past_bound(capsys):
+    # (100, 2324) is within the step bound; only the trace is refused
+    assert _omega_cost(100, 2_323)[1] <= _OMEGA_MAX_TRACE_BYTES < _omega_cost(100, 2_324)[1]
+    assert _omega_cost(100, 2_324)[0] <= _OMEGA_MAX_STEPS
+    code, out, err = run_cli(capsys, "omega", "--k", "100", "--n", "2324", "--trace")
+    assert (code, out) == (3, "")
+    assert f"limit {_OMEGA_MAX_TRACE_BYTES}" in err
 
 
 def test_denominator_bits_bound_the_denominator():
