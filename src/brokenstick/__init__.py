@@ -40,10 +40,7 @@ from .montecarlo import (
     DEFAULT_SEED,
     SimConfig,
     SimResult,
-    break_stick,
     estimate,
-    predicate_forall,
-    predicate_none,
 )
 
 __version__ = "0.1.0"
@@ -79,9 +76,6 @@ __all__ = [
     "SimResult",
     "DEFAULT_SEED",
     "DEFAULT_CHUNKS",
-    "break_stick",
     "estimate",
-    "predicate_none",
-    "predicate_forall",
     "__version__",
 ]

@@ -45,7 +45,7 @@ _NODE_CAP = 10_000_000
 
 
 class ResourceLimitError(RuntimeError):
-    """Exhaustive search would exceed the documented practical bound."""
+    """A request would exceed the documented cost bound of its entry point."""
 
 
 def count_constrained(

@@ -46,13 +46,15 @@ def fib_table(k: int, upto: int) -> tuple[list[int], list[int]]:
         raise ValueError(f"sequence order must be at least 2, got {k}")
     if upto < 0:
         raise ValueError(f"sequence index must be nonnegative, got {upto}")
+    if upto < k - 1:
+        return [0] * (upto + 1), [0] * (upto + 1)
     terms = [0] * (k - 1) + [1]
     sums = [0] * (k - 1) + [1]
     for m in range(k, upto + 1):
         nxt = sums[-1] - (sums[m - k - 1] if m > k else 0)
         terms.append(nxt)
         sums.append(sums[-1] + nxt)
-    return terms[: upto + 1], sums[: upto + 1]
+    return terms, sums
 
 
 def gen_fib(k: int, n: int) -> int:

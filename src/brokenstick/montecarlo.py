@@ -7,7 +7,7 @@ piece at least as large as the sum of the other k - 1; ties fail to
 close, matching the exact formulas).  "forall" requires even the
 hardest selection to close: the largest piece strictly below the sum of
 the k - 1 smallest.  "exists" is the complement of "none" and "ngon" is
-"forall" with k = n.
+"forall" with k = n: one expression serves both.
 
 Reproducibility contract: an estimate is a pure function of
 (mode, k, n, trials, seed, chunks).  Trials are split across ``chunks``
@@ -21,18 +21,24 @@ where splitmix64 is the usual xor-shift finalizer.  Blocks therefore
 never share a stream, and each block can be reproduced in isolation.
 
 A block is drawn in slabs of max(1, 2^22 // n) trials, so each float64
-array of a slab stays near 32 MiB at any n.  PCG64 fills rows one after
-another, so hits do not depend on the slab size.
+array of a slab, the window array of "none" and "exists" included,
+stays near 32 MiB; n itself is capped at 2^22.  PCG64 fills rows one
+after another, so hits do not depend on the slab size.
+
+Cost model: a run costs trials * n + 1000 * min(chunks, trials)
+trial-pieces, since only the first min(chunks, trials) blocks are
+non-empty.  A config past 1.5 * 10^8 (about 10 s) or with n > 2^22
+raises ``ResourceLimitError`` when it is built, before any draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Sequence
 
 import numpy as np
 
+from .counting import ResourceLimitError
 from .probability import ProblemSpec
 
 __all__ = [
@@ -41,9 +47,6 @@ __all__ = [
     "MODES",
     "SimConfig",
     "SimResult",
-    "break_stick",
-    "predicate_none",
-    "predicate_forall",
     "estimate",
 ]
 
@@ -56,6 +59,13 @@ MODES = ("none", "exists", "forall", "ngon")
 
 # Floats per slab array (32 MiB of float64); see the module docstring.
 _SLAB_FLOATS = 1 << 22
+
+# Cost model in trial-pieces (see the module docstring).  On a 2-core
+# host the kernel did 13-15 M trial-pieces/s at n = 3 and 21-38 M/s from
+# n = 50 to n = 2^22, and a block cost 51-61 us, about 1000 trial-pieces
+# at the slowest rate, so _MAX_WORK is about 10 s at n = 3.
+_BLOCK_WORK = 1_000
+_MAX_WORK = 150_000_000
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -91,6 +101,15 @@ class SimConfig:
             raise ValueError(f"chunk count must be positive, got {self.chunks}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        n = self.spec.n
+        if n > _SLAB_FLOATS:
+            raise ResourceLimitError(f"n={n} pieces do not fit one slab (limit {_SLAB_FLOATS})")
+        work = self.trials * n + _BLOCK_WORK * min(self.chunks, self.trials)
+        if work > _MAX_WORK:
+            raise ResourceLimitError(
+                f"{self.trials} trials of {n} pieces in {self.chunks} chunks cost"
+                f" {work} trial-pieces (limit {_MAX_WORK})"
+            )
 
 
 @dataclass(frozen=True)
@@ -105,58 +124,18 @@ class SimResult:
     chunks: int
 
 
-def break_stick(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Pieces of a unit stick broken at n - 1 uniform points, sorted decreasing."""
-    if n < 2:
-        raise ValueError(f"need at least 2 pieces, got {n}")
-    cuts = np.sort(rng.random(n - 1))
-    pieces = np.diff(cuts, prepend=0.0, append=1.0)
-    pieces[::-1].sort()
-    return pieces
-
-
-def predicate_none(pieces: Sequence[float], k: int) -> bool:
-    """True when no k of the pieces close a k-gon.
-
-    ``pieces`` must be sorted in decreasing order.  Checks every window
-    of k consecutive pieces; a window whose first piece equals the sum
-    of the rest is flat and still counts as failing to close.
-    """
-    n = len(pieces)
-    if not 3 <= k <= n:
-        raise ValueError(f"need 3 <= k <= len(pieces), got k={k}, n={n}")
-    return all(
-        pieces[i] >= sum(pieces[i + 1 : i + k]) for i in range(n - k + 1)
-    )
-
-
-def predicate_forall(pieces: Sequence[float], k: int) -> bool:
-    """True when every choice of k pieces closes a k-gon.
-
-    ``pieces`` must be sorted in decreasing order.  The binding case is
-    the largest piece against the k - 1 smallest; strict inequality
-    required, a tie means a flat selection exists.
-    """
-    n = len(pieces)
-    if not 3 <= k <= n:
-        raise ValueError(f"need 3 <= k <= len(pieces), got k={k}, n={n}")
-    return pieces[0] < sum(pieces[n - k + 1 :])
-
-
 def _hit_mask(mode: str, k: int, pieces: np.ndarray) -> np.ndarray:
-    # pieces: (rows, n), each row sorted decreasing.
+    # pieces: (rows, n), each row sorted decreasing.  Window i of "none"
+    # holds piece i against sums[i + k - 1] - sums[i], the sum of its
+    # other k - 1 pieces; "forall" holds the largest piece against the
+    # k - 1 smallest.
     n = pieces.shape[1]
     sums = np.cumsum(pieces, axis=1)
-    total = sums[:, -1]
-    if mode == "ngon":
-        return pieces[:, 0] < total - pieces[:, 0]
-    if mode == "forall":
-        return pieces[:, 0] < total - sums[:, n - k]
-    none = np.ones(pieces.shape[0], dtype=bool)
-    for i in range(n - k + 1):
-        window_tail = sums[:, i + k - 1] - sums[:, i]
-        none &= pieces[:, i] >= window_tail
-    return none if mode == "none" else ~none
+    if mode in ("none", "exists"):
+        m = n - k + 1
+        none = (pieces[:, :m] >= sums[:, k - 1 :] - sums[:, :m]).all(axis=1)
+        return none if mode == "none" else ~none
+    return pieces[:, 0] < sums[:, -1] - sums[:, n - k]
 
 
 def _run_block(mode: str, k: int, n: int, block_trials: int, block_seed: int) -> int:
@@ -181,11 +160,9 @@ def estimate(config: SimConfig) -> SimResult:
     n = config.spec.n
     k = n if config.mode == "ngon" else config.spec.k
     base, extra = divmod(config.trials, config.chunks)
-    sizes = [base + (1 if b < extra else 0) for b in range(config.chunks)]
     hits = sum(
-        _run_block(config.mode, k, n, size, _chunk_seed(config.seed, b))
-        for b, size in enumerate(sizes)
-        if size
+        _run_block(config.mode, k, n, base + (b < extra), _chunk_seed(config.seed, b))
+        for b in range(min(config.chunks, config.trials))
     )
     p = hits / config.trials
     return SimResult(

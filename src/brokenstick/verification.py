@@ -244,16 +244,22 @@ def suite_montecarlo(
         ("forall", 4, 5),
         ("ngon", 5, 5),
     ]
+    # Every config is built, and so checked against the cost model,
+    # before the first case draws.
+    configs = [
+        SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, seed=seed, chunks=chunks)
+        for mode, k, n in cases
+    ]
     checks = []
-    for mode, k, n in cases:
-        spec = ProblemSpec(k, n)
+    for (mode, k, n), config in zip(cases, configs):
+        spec = config.spec
         if mode == "none":
             exact = prob_none(spec)
         elif mode == "forall":
             exact = prob_forall(spec)
         else:
             exact = prob_ngon(n)
-        result = estimate(SimConfig(spec=spec, mode=mode, trials=trials, seed=seed, chunks=chunks))
+        result = estimate(config)
         err = abs(result.estimate - float(exact))
         budget = sigma * result.stderr
         checks.append(

@@ -14,7 +14,16 @@ from math import prod
 import pytest
 
 import brokenstick
-from brokenstick import ProblemSpec, __version__, parts_multiset, prob_exists, prob_none
+from brokenstick import (
+    DEFAULT_CHUNKS,
+    ProblemSpec,
+    SimConfig,
+    __version__,
+    montecarlo,
+    parts_multiset,
+    prob_exists,
+    prob_none,
+)
 from brokenstick.cli import (
     _DIRECT_BITS,
     _FIB_MAX_UPTO,
@@ -28,6 +37,7 @@ from brokenstick.cli import (
     _to_decimal,
     main,
 )
+from brokenstick.montecarlo import _BLOCK_WORK, _MAX_WORK
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +256,43 @@ def test_omega_refuses_trace_memory_past_bound(capsys):
     code, out, err = run_cli(capsys, "omega", "--k", "100", "--n", "2324", "--trace")
     assert (code, out) == (3, "")
     assert f"limit {_OMEGA_MAX_TRACE_BYTES}" in err
+
+
+def _largest_trials(n, chunks):
+    # the most trials a simulation of n pieces in chunks blocks may ask for
+    return (_MAX_WORK - _BLOCK_WORK * chunks) // n
+
+
+def _no_draws(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a refused request drew trials")
+
+    monkeypatch.setattr(montecarlo, "_run_block", fail)
+
+
+def test_simulate_refuses_work_past_bound(capsys, monkeypatch):
+    _no_draws(monkeypatch)
+    trials = _largest_trials(3, DEFAULT_CHUNKS)
+    SimConfig(spec=ProblemSpec(3, 3), mode="none", trials=trials)
+    for argv in (
+        ("--n", "3", "--trials", str(trials + 1)),
+        # a million one-trial blocks cost about 60 s in block overhead alone
+        ("--n", "3", "--trials", "1000000", "--chunks", "1000000"),
+        ("--n", str(montecarlo._SLAB_FLOATS + 1), "--trials", "1"),
+    ):
+        code, out, err = run_cli(capsys, "simulate", "--mode", "none", "--k", "3", *argv)
+        assert (code, out) == (3, ""), argv
+        assert "limit" in err
+
+
+def test_verify_montecarlo_refuses_work_past_bound(capsys, monkeypatch):
+    # the suite's largest case has n = 6; every case is checked before any draw
+    _no_draws(monkeypatch)
+    trials = _largest_trials(6, DEFAULT_CHUNKS)
+    SimConfig(spec=ProblemSpec(5, 6), mode="none", trials=trials)
+    code, out, err = run_cli(capsys, "verify", "--suite", "montecarlo", "--trials", str(trials + 1))
+    assert (code, out) == (3, "")
+    assert f"limit {_MAX_WORK}" in err
 
 
 def test_denominator_bits_bound_the_denominator():

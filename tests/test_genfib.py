@@ -1,5 +1,6 @@
 """Step-Fibonacci terms, running sums, and the derived g/h values."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -48,14 +49,27 @@ def test_leading_zeros_then_one():
         assert gen_fib(k, k - 1) == 1
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 30])
 def test_matches_naive_recurrence(k):
     for n in range(0, 26):
         assert gen_fib(k, n) == naive_fib(k, n)
         assert f_sum(k, n) == naive_f(k, n)
-    terms, sums = fib_table(k, 25)
-    assert terms == [naive_fib(k, n) for n in range(26)]
-    assert sums == [naive_f(k, n) for n in range(26)]
+    # every upto below, at and one past the leading one, then a long table
+    for upto in (*range(k + 1), 25):
+        terms, sums = fib_table(k, upto)
+        assert terms == [naive_fib(k, n) for n in range(upto + 1)], upto
+        assert sums == [naive_f(k, n) for n in range(upto + 1)], upto
+
+
+def test_fib_table_memory_follows_upto_not_k():
+    # a short table of a high order allocates only the entries it returns
+    tracemalloc.start()
+    try:
+        assert fib_table(10**6, 1) == ([0, 0], [0, 0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_known_terms():

@@ -1,5 +1,9 @@
 """Simulation machinery: reproducibility, predicates, and sanity of estimates."""
 
+import time
+import tracemalloc
+from typing import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,14 +12,60 @@ from brokenstick import (
     DEFAULT_SEED,
     ProblemSpec,
     SimConfig,
-    break_stick,
     estimate,
-    predicate_forall,
-    predicate_none,
     prob_ngon,
 )
 from brokenstick import montecarlo
 from brokenstick.montecarlo import MODES, _chunk_seed, _run_block
+
+
+# Scalar replay oracle: one trial at a time, the events written as
+# plain sums over a Python sequence, sharing no code with the kernel.
+def break_stick(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Pieces of a unit stick broken at n - 1 uniform points, sorted decreasing."""
+    if n < 2:
+        raise ValueError(f"need at least 2 pieces, got {n}")
+    cuts = np.sort(rng.random(n - 1))
+    pieces = np.diff(cuts, prepend=0.0, append=1.0)
+    pieces[::-1].sort()
+    return pieces
+
+
+def predicate_none(pieces: Sequence[float], k: int) -> bool:
+    """True when no k of the pieces close a k-gon.
+
+    ``pieces`` must be sorted in decreasing order.  Checks every window
+    of k consecutive pieces; a window whose first piece equals the sum
+    of the rest is flat and still counts as failing to close.
+    """
+    n = len(pieces)
+    if not 3 <= k <= n:
+        raise ValueError(f"need 3 <= k <= len(pieces), got k={k}, n={n}")
+    return all(
+        pieces[i] >= sum(pieces[i + 1 : i + k]) for i in range(n - k + 1)
+    )
+
+
+def predicate_forall(pieces: Sequence[float], k: int) -> bool:
+    """True when every choice of k pieces closes a k-gon.
+
+    ``pieces`` must be sorted in decreasing order.  The binding case is
+    the largest piece against the k - 1 smallest; strict inequality
+    required, a tie means a flat selection exists.
+    """
+    n = len(pieces)
+    if not 3 <= k <= n:
+        raise ValueError(f"need 3 <= k <= len(pieces), got k={k}, n={n}")
+    return pieces[0] < sum(pieces[n - k + 1 :])
+
+
+def scalar_hit(mode: str, pieces: Sequence[float], k: int) -> bool:
+    n = len(pieces)
+    if mode == "none":
+        return predicate_none(pieces, k)
+    if mode == "exists":
+        return not predicate_none(pieces, k)
+    return predicate_forall(pieces, n if mode == "ngon" else k)
 
 
 def sorted_pieces(values):
@@ -84,23 +134,78 @@ def test_predicates_complement_when_all_pieces_used(raw):
     assert predicate_forall(pieces, n) != predicate_none(pieces, n)
 
 
-def test_vectorized_blocks_match_scalar_predicates():
-    # one block, replayed trial by trial with the scalar path
-    mode, k, n, trials = "none", 3, 5, 400
-    seed = _chunk_seed(DEFAULT_SEED, 0)
-    hits = _run_block(mode, k, n, trials, seed)
+@pytest.mark.parametrize("slab_rows", [None, 7])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k, n", [(3, 3), (3, 5), (4, 6), (3, 12), (7, 12), (12, 12)])
+def test_vectorized_blocks_match_scalar_predicates(monkeypatch, k, n, mode, slab_rows):
+    # one block, replayed trial by trial with the scalar path; (3, 3) and
+    # (12, 12) have a single window, and slab_rows = 7 splits the block
+    # into many slabs
+    if slab_rows is not None:
+        monkeypatch.setattr(montecarlo, "_SLAB_FLOATS", slab_rows * n)
+    trials = 2000
+    seed = _chunk_seed(DEFAULT_SEED, n)
+    block_k = n if mode == "ngon" else k
+    hits = _run_block(mode, block_k, n, trials, seed)
     rng = np.random.default_rng(seed)
-    expected = sum(predicate_none(break_stick(n, rng), k) for _ in range(trials))
+    expected = sum(scalar_hit(mode, break_stick(n, rng), k) for _ in range(trials))
     assert hits == expected
 
 
-def test_vectorized_forall_matches_scalar():
-    mode, k, n, trials = "forall", 4, 6, 400
-    seed = _chunk_seed(99, 0)
-    hits = _run_block(mode, k, n, trials, seed)
-    rng = np.random.default_rng(seed)
-    expected = sum(predicate_forall(break_stick(n, rng), k) for _ in range(trials))
-    assert hits == expected
+def test_kernel_resolves_ties_like_scalar_predicates():
+    # dyadic pieces make every window sum exact, so the kernel sees the
+    # same ties as the scalar predicates: a flat window or selection
+    # does not close
+    cases = [
+        ([0.5, 0.25, 0.125, 0.125], 4),
+        ([0.5, 0.25, 0.125, 0.125], 3),
+        ([0.5, 0.25, 0.25], 3),
+        ([0.375, 0.25, 0.25, 0.125], 3),
+    ]
+    for values, k in cases:
+        pieces = np.array([values])
+        for mode in MODES:
+            block_k = len(values) if mode == "ngon" else k
+            want = scalar_hit(mode, values, k)
+            assert montecarlo._hit_mask(mode, block_k, pieces).tolist() == [want], (values, k, mode)
+
+
+# (mode, k, n, trials, seed, chunks, hits), recorded when the kernel was
+# a per-window loop; the reproducibility contract keeps them fixed.
+PINNED = [
+    ("none", 3, 3, 10_000, 1, 1, 7477),
+    ("none", 3, 5, 20_000, 2, 8, 3593),
+    ("exists", 4, 6, 20_000, 3, 3, 19213),
+    ("forall", 7, 12, 30_000, 4, 7, 6575),
+    ("forall", 6, 8, 10_007, DEFAULT_SEED, 8, 4075),
+    ("ngon", 12, 12, 20_000, 5, 5, 19893),
+    ("ngon", 3, 4, 25_000, 6, 2, 12465),
+]
+
+
+@pytest.mark.parametrize("mode, k, n, trials, seed, chunks, hits", PINNED)
+def test_pinned_hits(mode, k, n, trials, seed, chunks, hits):
+    config = SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, seed=seed, chunks=chunks)
+    assert estimate(config).hits == hits
+
+
+def test_empty_blocks_cost_nothing():
+    # with more chunks than trials only the first `trials` blocks run, one
+    # trial each, so the chunk count beyond that changes neither the hits
+    # nor the memory and time; walking 10^7 empty blocks takes about 0.6 s
+    spec = ProblemSpec(3, 5)
+    config = SimConfig(spec=spec, mode="none", trials=5, seed=8, chunks=10**7)
+    start = time.perf_counter()
+    many = estimate(config)
+    assert time.perf_counter() - start < 0.25
+    tracemalloc.start()
+    try:
+        assert estimate(config) == many
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert many.hits == estimate(SimConfig(spec=spec, mode="none", trials=5, seed=8, chunks=5)).hits
 
 
 def test_slab_size_does_not_change_hits(monkeypatch):
