@@ -11,6 +11,7 @@ function counting, and vectorized Monte Carlo simulation.
 from .genfib import f_sum, fib_table, g_val, gen_fib, h_val, parts_multiset
 from .probability import (
     ProblemSpec,
+    ResourceLimitError,
     prob_exists,
     prob_forall,
     prob_ngon,
@@ -23,11 +24,9 @@ from .omega import (
     ShapeError,
     Var,
     build_crude,
-    eliminate,
     run_elimination,
 )
 from .counting import (
-    ResourceLimitError,
     asymptotic_ratio,
     count_constrained,
     count_restricted,
@@ -53,6 +52,7 @@ __all__ = [
     "h_val",
     "parts_multiset",
     "ProblemSpec",
+    "ResourceLimitError",
     "prob_none",
     "prob_exists",
     "prob_forall",
@@ -63,9 +63,7 @@ __all__ = [
     "ClosedProduct",
     "EliminationStep",
     "build_crude",
-    "eliminate",
     "run_elimination",
-    "ResourceLimitError",
     "count_constrained",
     "count_restricted",
     "series_coefficients",

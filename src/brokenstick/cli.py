@@ -24,14 +24,8 @@ from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from . import __version__
-from .counting import (
-    ResourceLimitError,
-    count_constrained,
-    count_restricted,
-    hermite_coeff,
-    series_coefficients,
-)
+from . import ResourceLimitError, __version__
+from .counting import count_constrained, count_restricted, hermite_coeff, series_coefficients
 from .genfib import fib_table, parts_multiset
 from .montecarlo import DEFAULT_CHUNKS, DEFAULT_SEED, MODES, SimConfig, estimate
 from .omega import run_elimination
@@ -43,32 +37,12 @@ __all__ = ["build_parser", "main"]
 _EVENTS = ("none", "exists", "forall", "ngon")
 _ORACLES = ("brute", "parts", "series")
 
-# prob none|exists refuse a denominator that may exceed this many bits,
-# its size at n = 4000 (about 0.15 n^2 digits for k >= 10), so every
-# n <= 4000 is served and larger n only for k near n.  Product plus
-# rendering grow like M(digits) log n, about n^3.2 in practice: 1 s at
-# n = 2000 and 8-10 s at n = 4000 on a 2-core host, so a refused
-# request would have run for about 10 s or more.
-_PROB_NONE_MAX_BITS = 8_000_000
-
 # fib prints 2 (upto + 1) ints of up to upto bits each (the growth ratio
 # is below 2), so output and memory grow like upto^2 and rendering like
 # upto^3.  On a 2-core host: k = 2 takes 6.2 s and 317 MiB at upto =
 # 20000, 20 s and 668 MiB at 30000; k = 40 takes 13 s at 20000.  Past
 # this bound even k = 2 would run for about 10 s or more.
 _FIB_MAX_UPTO = 24_000
-
-# omega does about n^2 + (n - k + 1) k^2 steps (see the omega module).
-# With output they took 0.1-0.2 us each on a 2-core host ((3, 8000)
-# 7.0 s, (200, 2000) 7.3 s, (50, 4000) 5.6 s), so a refused request
-# would run for about 10 s or more.
-_OMEGA_MAX_STEPS = 10**8
-# omega --trace keeps every rewritten factor: about 24 bytes per unit of
-# (n - k + 1) k^2 for their markers plus k n^2 bytes for their q
-# exponents, whose bit length grows with the step.  This matched peak RSS
-# within 10 % at (100, 1000) 332 MiB, (50, 2000) 320 MiB, (200, 600)
-# 452 MiB and (10, 4000) 166 MiB.
-_OMEGA_MAX_TRACE_BYTES = 1 << 30
 
 # verify flags that each suite accepts, as CLI attr -> suite kwarg.
 _SUITE_FLAGS: dict[str, dict[str, str]] = {
@@ -78,20 +52,6 @@ _SUITE_FLAGS: dict[str, dict[str, str]] = {
     "hermite": {"max_total": "max_total", "ratio_n": "ratio_total"},
     "montecarlo": {"trials": "trials", "seed": "seed", "chunks": "chunks"},
 }
-
-
-def _none_denominator_bits(k: int, n: int) -> int:
-    # Upper bound on log2 of the prob none denominator: its n - k + 3
-    # running sums start at 1 and at most double at each step, and each
-    # of its k - 3 chain values is at most k times the largest sum.
-    m = n - k + 2
-    return m * (m + 1) // 2 + (k - 3) * (m + k.bit_length())
-
-
-def _omega_cost(k: int, n: int) -> tuple[int, int]:
-    # (steps, bytes --trace keeps), by the cost model of _OMEGA_MAX_STEPS.
-    rewritten = (n - k + 1) * k * k
-    return n * n + rewritten, 24 * rewritten + k * n * n
 
 
 # Ints up to this many bits convert with Decimal(int) directly: near the
@@ -212,12 +172,6 @@ def _cmd_prob(args) -> tuple[dict, int]:
         if args.k is None:
             raise ValueError(f"prob {args.event} needs --k")
         spec = ProblemSpec(args.k, args.n)
-        bits = _none_denominator_bits(args.k, args.n)
-        if args.event in ("none", "exists") and bits > _PROB_NONE_MAX_BITS:
-            raise ResourceLimitError(
-                f"prob {args.event} at k={args.k}, n={args.n} has a denominator of up"
-                f" to {bits} bits (limit {_PROB_NONE_MAX_BITS})"
-            )
         value = {"none": prob_none, "exists": prob_exists, "forall": prob_forall}[
             args.event
         ](spec)
@@ -243,17 +197,6 @@ def _cmd_fib(args) -> tuple[dict, int]:
 
 def _cmd_omega(args) -> tuple[dict, int]:
     spec = ProblemSpec(args.k, args.n)
-    work, trace_bytes = _omega_cost(args.k, args.n)
-    if work > _OMEGA_MAX_STEPS:
-        raise ResourceLimitError(
-            f"omega at k={args.k}, n={args.n} takes about {work} steps"
-            f" (limit {_OMEGA_MAX_STEPS})"
-        )
-    if args.trace and trace_bytes > _OMEGA_MAX_TRACE_BYTES:
-        raise ResourceLimitError(
-            f"omega --trace at k={args.k}, n={args.n} keeps about {trace_bytes} bytes"
-            f" (limit {_OMEGA_MAX_TRACE_BYTES})"
-        )
     params = {"k": args.k, "n": args.n, "trace": bool(args.trace)}
     if args.trace:
         product, steps = run_elimination(spec, trace=True)

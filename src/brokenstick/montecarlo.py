@@ -38,8 +38,7 @@ from math import sqrt
 
 import numpy as np
 
-from .counting import ResourceLimitError
-from .probability import ProblemSpec
+from .probability import ProblemSpec, ResourceLimitError
 
 __all__ = [
     "DEFAULT_SEED",
@@ -104,12 +103,17 @@ class SimConfig:
         n = self.spec.n
         if n > _SLAB_FLOATS:
             raise ResourceLimitError(f"n={n} pieces do not fit one slab (limit {_SLAB_FLOATS})")
-        work = self.trials * n + _BLOCK_WORK * min(self.chunks, self.trials)
+        work = _work(self)
         if work > _MAX_WORK:
             raise ResourceLimitError(
                 f"{self.trials} trials of {n} pieces in {self.chunks} chunks cost"
                 f" {work} trial-pieces (limit {_MAX_WORK})"
             )
+
+
+def _work(config: SimConfig) -> int:
+    # Trial-pieces a run costs; see the module docstring.
+    return config.trials * config.spec.n + _BLOCK_WORK * min(config.chunks, config.trials)
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,14 @@ probability formulas work.
 ``run_elimination`` rewrites one list of factors in place, one pass per
 marker.  Each pass scans all n factors for the marker's carriers, and
 each of the n - k + 1 window markers rewrites about k factors of up to
-k entries, so the work is about n^2 + (n - k + 1) k^2 steps; the trace
-keeps every rewritten factor, O((n - k + 1) k^2) marker entries.  Best
-of 3 on a 2-core host: (30, 300) 50 ms, (50, 1000) 0.40 s, (50, 2000)
-0.92 s, (200, 2000) 7.5 s.
+k entries: about n^2 + (n - k + 1) k^2 steps, 0.1-0.2 us each on a
+2-core host ((30, 300) 50 ms, (50, 2000) 0.92 s, (3, 8000) 7.0 s,
+(200, 2000) 7.5 s).  The trace keeps every rewritten factor, about 24
+bytes per unit of (n - k + 1) k^2 for markers plus k n^2 bytes for q
+exponents; this matched peak RSS within 10 % from (10, 4000) 166 MiB
+to (200, 600) 452 MiB.  Past 10^8 steps, or with ``trace=True`` past
+1 GiB of trace, ``run_elimination`` raises ``ResourceLimitError``
+before it builds the crude form.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, overload, Literal
 
-from .probability import ProblemSpec
+from .probability import ProblemSpec, ResourceLimitError
 
 __all__ = [
     "LAMBDA",
@@ -68,12 +72,15 @@ __all__ = [
     "EliminationStep",
     "build_crude",
     "elimination_order",
-    "eliminate",
     "run_elimination",
 ]
 
 LAMBDA = "lambda"
 MU = "mu"
+
+# Cost bounds of run_elimination; see the module docstring.
+_OMEGA_MAX_STEPS = 10**8
+_OMEGA_MAX_TRACE_BYTES = 1 << 30
 
 
 class Var(NamedTuple):
@@ -222,10 +229,18 @@ def elimination_order(spec: ProblemSpec) -> list[Var]:
     return order
 
 
+def _omega_cost(k: int, n: int) -> tuple[int, int]:
+    # (steps, bytes a trace keeps), by the cost model of the module docstring.
+    rewritten = (n - k + 1) * k * k
+    return n * n + rewritten, 24 * rewritten + k * n * n
+
+
 def _eliminate(factors: list[CrudeFactor], var: Var) -> EliminationStep:
-    # Rewrites factors in place.  Each -1 carrier is merged with the +1
-    # factor as it stands: var^-1 cancels against its var^+1, so every
-    # rewritten factor is built once.
+    # Eliminates var, rewriting factors in place; var must appear with
+    # exponent +1 in exactly one factor and -1 elsewhere (ShapeError
+    # otherwise).  Each -1 carrier is merged with the +1 factor as it
+    # stands: var^-1 cancels against its var^+1, so every rewritten
+    # factor is built once.
     plus_pos = None
     minus_pos: list[int] = []
     carriers = [pos for pos, fac in enumerate(factors) if var in fac.powers]
@@ -254,23 +269,6 @@ def _eliminate(factors: list[CrudeFactor], var: Var) -> EliminationStep:
     return EliminationStep(var, consumed, tuple(factors[pos] for pos in consumed))
 
 
-def eliminate(
-    factors: tuple[CrudeFactor, ...], var: Var
-) -> tuple[CrudeFactor, ...]:
-    """Eliminate one marker; returns new factors, the input is left as is.
-
-    Requires the marker to occur with exponent +1 in exactly one factor
-    and -1 elsewhere (``ShapeError`` otherwise).  The +1 factor's
-    monomial, with the marker removed, is multiplied into each -1
-    factor independently; factors without the marker are kept as they
-    are, at the same positions.  Costs one scan of the factors plus one
-    merge per -1 factor, O(len(factors) + carriers * entries).
-    """
-    out = list(factors)
-    _eliminate(out, var)
-    return tuple(out)
-
-
 @overload
 def run_elimination(
     spec: ProblemSpec, trace: Literal[False] = ...
@@ -291,8 +289,20 @@ def run_elimination(spec, trace=False):
     marker in elimination order.  Each step checks the +-1 shape of
     its own marker, and a final pass rejects any marker left over
     (one the order never named); either violation means the engine
-    itself is broken and surfaces as ``ShapeError``.
+    itself is broken and surfaces as ``ShapeError``.  Raises
+    ``ResourceLimitError`` past the cost bounds in the module docstring.
     """
+    steps_needed, trace_bytes = _omega_cost(spec.k, spec.n)
+    if steps_needed > _OMEGA_MAX_STEPS:
+        raise ResourceLimitError(
+            f"elimination at k={spec.k}, n={spec.n} takes about {steps_needed} steps"
+            f" (limit {_OMEGA_MAX_STEPS})"
+        )
+    if trace and trace_bytes > _OMEGA_MAX_TRACE_BYTES:
+        raise ResourceLimitError(
+            f"the elimination trace at k={spec.k}, n={spec.n} keeps about {trace_bytes}"
+            f" bytes (limit {_OMEGA_MAX_TRACE_BYTES})"
+        )
     factors = list(build_crude(spec))
     steps: list[EliminationStep] = []
     for var in elimination_order(spec):

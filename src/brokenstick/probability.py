@@ -10,6 +10,15 @@ polygon size k (3 <= k <= n) the three events of interest are:
 Ties lose: a selection whose longest piece exactly equals the sum of
 the others is flat and does not count as a polygon.  All results are
 ``fractions.Fraction`` values in lowest terms.
+
+Cost of ``prob_none`` (and ``prob_exists``): the denominator has about
+0.1-0.15 n^2 decimal digits (0.15 for large k).  A balanced product
+tree multiplies it out in O(M(d) log n) for d digits and Karatsuba's
+M(d) ~ d^1.585, and the gcd with n! costs O(d n log n).  On a 2-core
+host: (50, 2000) 0.7 s, (50, 4000) 6.4 s, 8-10 s with the CLI's
+decimal rendering.  A denominator that may exceed 8 * 10^6 bits, its
+size at n = 4000, raises ``ResourceLimitError`` before any part is
+built: every n <= 4000 is served and larger n only for k near n.
 """
 
 from __future__ import annotations
@@ -21,12 +30,25 @@ from math import comb, prod, factorial
 from .genfib import parts_multiset
 
 __all__ = [
+    "ResourceLimitError",
     "ProblemSpec",
     "prob_none",
     "prob_exists",
     "prob_forall",
     "prob_ngon",
 ]
+
+# See the cost model in the module docstring.
+_PROB_NONE_MAX_BITS = 8_000_000
+
+
+class ResourceLimitError(RuntimeError):
+    """A request would exceed the documented cost bound of a function.
+
+    Each guard lives in the function whose work it bounds and raises
+    before that work starts, so it holds on every route to the function.
+    """
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -55,18 +77,28 @@ def _product(values: tuple[int, ...]) -> int:
     return _product(values[:mid]) * _product(values[mid:])
 
 
+def _none_denominator_bits(k: int, n: int) -> int:
+    # Upper bound on log2 of the prob_none denominator: its n - k + 3
+    # running sums start at 1 and at most double at each step, and each
+    # of its k - 3 chain values is at most k times the largest sum.
+    m = n - k + 2
+    return m * (m + 1) // 2 + (k - 3) * (m + k.bit_length())
+
+
 def prob_none(spec: ProblemSpec) -> Fraction:
     """Probability that no k pieces form a k-gon.
 
     Closed form n! divided by the product of the n part sizes from
     ``parts_multiset``; for k = n this collapses to n / 2^(n-1).
 
-    Cost: the denominator has about 0.1-0.15 n^2 decimal digits (0.15
-    for large k).  It is multiplied out with a balanced product tree,
-    O(M(d) log n) for d digits and Karatsuba's M(d) ~ d^1.585; the
-    reduction by gcd with n! then costs O(d n log n).  Measured on a
-    2-core host: (100, 1000) 80 ms, (50, 2000) 0.7 s, (50, 4000) 6.4 s.
+    Past the module docstring's cost bound raises ``ResourceLimitError``.
     """
+    bits = _none_denominator_bits(spec.k, spec.n)
+    if bits > _PROB_NONE_MAX_BITS:
+        raise ResourceLimitError(
+            f"the no-polygon probability at k={spec.k}, n={spec.n} has a denominator"
+            f" of up to {bits} bits (limit {_PROB_NONE_MAX_BITS})"
+        )
     return Fraction(factorial(spec.n), _product(parts_multiset(spec.k, spec.n)))
 
 

@@ -20,9 +20,9 @@ from .counting import (
     series_coefficients,
 )
 from .genfib import f_sum, parts_multiset
-from .montecarlo import DEFAULT_CHUNKS, DEFAULT_SEED, SimConfig, estimate
+from .montecarlo import _MAX_WORK, DEFAULT_CHUNKS, DEFAULT_SEED, SimConfig, _work, estimate
 from .omega import run_elimination
-from .probability import ProblemSpec, prob_forall, prob_ngon, prob_none
+from .probability import ProblemSpec, ResourceLimitError, prob_forall, prob_ngon, prob_none
 
 __all__ = [
     "Check",
@@ -234,7 +234,10 @@ def suite_montecarlo(
     chunks: int = DEFAULT_CHUNKS,
     sigma: float = 4.0,
 ) -> list[Check]:
-    """Simulation against the exact formulas, within sigma standard errors."""
+    """Simulation against the exact formulas, within sigma standard errors.
+
+    The seven runs together must fit one simulation's cost bound.
+    """
     cases = [
         ("none", 3, 3),
         ("none", 3, 5),
@@ -244,12 +247,16 @@ def suite_montecarlo(
         ("forall", 4, 5),
         ("ngon", 5, 5),
     ]
-    # Every config is built, and so checked against the cost model,
-    # before the first case draws.
     configs = [
         SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, seed=seed, chunks=chunks)
         for mode, k, n in cases
     ]
+    work = sum(_work(config) for config in configs)
+    if work > _MAX_WORK:
+        raise ResourceLimitError(
+            f"the montecarlo suite at {trials} trials per case costs {work}"
+            f" trial-pieces (limit {_MAX_WORK})"
+        )
     checks = []
     for (mode, k, n), config in zip(cases, configs):
         spec = config.spec

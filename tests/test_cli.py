@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import prod
@@ -20,24 +21,16 @@ from brokenstick import (
     SimConfig,
     __version__,
     montecarlo,
+    omega,
     parts_multiset,
     prob_exists,
     prob_none,
 )
-from brokenstick.cli import (
-    _DIRECT_BITS,
-    _FIB_MAX_UPTO,
-    _OMEGA_MAX_STEPS,
-    _OMEGA_MAX_TRACE_BYTES,
-    _PROB_NONE_MAX_BITS,
-    _decimal_str,
-    _digits,
-    _none_denominator_bits,
-    _omega_cost,
-    _to_decimal,
-    main,
-)
+from brokenstick.cli import _DIRECT_BITS, _FIB_MAX_UPTO, _decimal_str, _digits, _to_decimal, main
+from brokenstick.counting import _MAX_TABLE_TOTAL
 from brokenstick.montecarlo import _BLOCK_WORK, _MAX_WORK
+from brokenstick.omega import _OMEGA_MAX_STEPS, _OMEGA_MAX_TRACE_BYTES, _omega_cost
+from brokenstick.probability import _PROB_NONE_MAX_BITS, _none_denominator_bits
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +251,32 @@ def test_omega_refuses_trace_memory_past_bound(capsys):
     assert f"limit {_OMEGA_MAX_TRACE_BYTES}" in err
 
 
+def test_count_series_refuses_elimination_past_bound(capsys, monkeypatch):
+    # the step bound holds on every route to the engine, not just omega
+    def fail(spec):
+        raise AssertionError("the crude form was built")
+
+    monkeypatch.setattr(omega, "build_crude", fail)
+    argv = ("--k", "3", "--n", "9996", "--N-value", "0", "--oracle", "series")
+    code, out, err = run_cli(capsys, "count", *argv)
+    assert (code, out) == (3, "")
+    assert f"limit {_OMEGA_MAX_STEPS}" in err
+
+
+def test_count_refuses_table_past_bound_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        for oracle in ("parts", "series"):
+            argv = ("--k", "3", "--n", "3", "--N-value", str(_MAX_TABLE_TOTAL + 1))
+            code, out, err = run_cli(capsys, "count", *argv, "--oracle", oracle)
+            assert (code, out) == (3, ""), oracle
+            assert f"total {_MAX_TABLE_TOTAL})" in err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def _largest_trials(n, chunks):
     # the most trials a simulation of n pieces in chunks blocks may ask for
     return (_MAX_WORK - _BLOCK_WORK * chunks) // n
@@ -293,6 +312,19 @@ def test_verify_montecarlo_refuses_work_past_bound(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--suite", "montecarlo", "--trials", str(trials + 1))
     assert (code, out) == (3, "")
     assert f"limit {_MAX_WORK}" in err
+
+
+def test_verify_montecarlo_bounds_the_suite_total(capsys, monkeypatch):
+    # the seven cases have 33 pieces in all, and each runs DEFAULT_CHUNKS blocks
+    monkeypatch.setattr(montecarlo, "_run_block", lambda *args: 0)
+    trials = (_MAX_WORK - 7 * DEFAULT_CHUNKS * _BLOCK_WORK) // 33
+    code, out, err = run_cli(capsys, "verify", "--suite", "montecarlo", "--trials", str(trials + 1))
+    assert (code, out) == (3, "")
+    assert f"suite at {trials + 1} trials per case" in err and f"limit {_MAX_WORK}" in err
+    # served at the bound; the stub draws no hits, so the checks fail
+    code, out, err = run_cli(capsys, "verify", "--suite", "montecarlo", "--trials", str(trials))
+    assert code == 4, err
+    assert json.loads(out)["result"]["total"] == "7"
 
 
 def test_denominator_bits_bound_the_denominator():

@@ -1,6 +1,7 @@
 """Counting oracles against brute-force enumeration written a different way."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from brokenstick import (
     run_elimination,
     series_coefficients,
 )
+from brokenstick import counting
 from brokenstick.omega import ClosedProduct
 from brokenstick.verification import _composition_count
 
@@ -86,6 +88,36 @@ def test_constrained_domain_errors():
         count_constrained(ProblemSpec(3, 3), -1)
     with pytest.raises(ValueError):
         count_constrained(ProblemSpec(3, 3), 3, "strictly")  # type: ignore[arg-type]
+
+
+def test_partition_table_refuses_past_bounds_before_allocating():
+    top, cells = counting._MAX_TABLE_TOTAL, counting._MAX_TABLE_CELLS
+    # one cell past the cell bound at the largest total: q parts of size 1
+    # fill top cells each, and a part of size top + 1 - r fills r more
+    q, r = divmod(cells + 1, top)
+    past_cells = (1,) * q + ((top + 1 - r,) if r else ())
+    tracemalloc.start()
+    try:
+        for parts, total in ((past_cells, top), ((top + 1,), top + 1)):
+            with pytest.raises(ResourceLimitError, match=f"limits {cells} cells, total {top}"):
+                count_restricted(parts, total)
+            with pytest.raises(ResourceLimitError):
+                series_coefficients(ClosedProduct(parts), total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # served at the total bound: one part of size top fills one cell
+    assert count_restricted((top,), top) == 1
+
+
+def test_partition_table_serves_at_the_cell_bound(monkeypatch):
+    # a table at the real bound takes seconds, so the bound is lowered
+    monkeypatch.setattr(counting, "_MAX_TABLE_CELLS", 1000)
+    assert count_restricted((1,), 1000) == 1
+    assert count_restricted((1, 1), 500) == 501
+    with pytest.raises(ResourceLimitError):
+        count_restricted((1,), 1001)
 
 
 def slow_restricted(parts, total):

@@ -10,10 +10,10 @@ from brokenstick import (
     ClosedProduct,
     CrudeFactor,
     ProblemSpec,
+    ResourceLimitError,
     ShapeError,
     Var,
     build_crude,
-    eliminate,
     f_sum,
     parts_multiset,
     run_elimination,
@@ -28,6 +28,13 @@ def lam(i):
 
 def mu(i):
     return Var(MU, i)
+
+
+def eliminated(factors, var):
+    # one engine step on a list copy, so the input can be checked after
+    out = list(factors)
+    omega._eliminate(out, var)
+    return out
 
 
 def variables(factors):
@@ -73,10 +80,25 @@ def test_marker_discipline_in_crude_form():
                 assert set(exps) <= {1, -1}
 
 
+def test_run_elimination_refuses_past_bounds_before_building(monkeypatch):
+    def fail(spec):
+        raise AssertionError("the crude form was built")
+
+    monkeypatch.setattr(omega, "build_crude", fail)
+    for trace in (False, True):
+        with pytest.raises(ResourceLimitError, match=f"limit {omega._OMEGA_MAX_STEPS}"):
+            run_elimination(ProblemSpec(3, 9996), trace=trace)
+    with pytest.raises(ResourceLimitError, match=f"limit {omega._OMEGA_MAX_TRACE_BYTES}"):
+        run_elimination(ProblemSpec(100, 2324), trace=True)
+    # the trace bound applies only to a traced run
+    with pytest.raises(AssertionError, match="crude form was built"):
+        run_elimination(ProblemSpec(100, 2324))
+
+
 def test_eliminate_two_factor_identity():
     # 1/((1 - q*v)(1 - q/v)) -> 1/((1 - q)(1 - q^2))
     v = lam(1)
-    out = eliminate((CrudeFactor(1, {v: 1}), CrudeFactor(1, {v: -1})), v)
+    out = eliminated((CrudeFactor(1, {v: 1}), CrudeFactor(1, {v: -1})), v)
     assert [f.q_exp for f in out] == [1, 2]
     assert all(not f.powers for f in out)
 
@@ -91,7 +113,7 @@ def test_eliminate_broadcasts_into_each_minus_factor():
         CrudeFactor(1, {v: -1}),
         CrudeFactor(1, {v: -1}),
     )
-    out = eliminate(factors, v)
+    out = eliminated(factors, v)
     assert [f.q_exp for f in out] == [1, 2, 2, 2]
     # the input keeps its factors and their monomials
     assert [f.powers for f in factors] == [{v: 1}, {v: -1}, {v: -1}, {v: -1}]
@@ -105,7 +127,7 @@ def test_eliminate_carries_other_markers_along():
         CrudeFactor(1, {v: -1}),
         CrudeFactor(1, {w: -1}),
     )
-    out = eliminate(factors, v)
+    out = eliminated(factors, v)
     assert out[0].powers == {w: 1}
     assert out[1].powers == {w: 1}
     assert out[1].q_exp == 2
@@ -120,7 +142,7 @@ def test_eliminate_cancels_opposite_exponents():
         CrudeFactor(1, {v: 1, w: 1}),
         CrudeFactor(1, {v: -1, w: -1}),
     )
-    out = eliminate(factors, v)
+    out = eliminated(factors, v)
     assert out[1].powers == {}
     assert out[1].q_exp == 2
 
@@ -128,13 +150,13 @@ def test_eliminate_cancels_opposite_exponents():
 def test_eliminate_shape_errors():
     v = lam(1)
     with pytest.raises(ShapeError):
-        eliminate((CrudeFactor(1, {v: -1}),), v)  # no +1
+        eliminated((CrudeFactor(1, {v: -1}),), v)  # no +1
     with pytest.raises(ShapeError):
-        eliminate((CrudeFactor(1, {v: 1}), CrudeFactor(1, {v: 1})), v)  # two +1
+        eliminated((CrudeFactor(1, {v: 1}), CrudeFactor(1, {v: 1})), v)  # two +1
     with pytest.raises(ShapeError):
-        eliminate((CrudeFactor(1, {v: 2}),), v)  # exponent 2
+        eliminated((CrudeFactor(1, {v: 2}),), v)  # exponent 2
     with pytest.raises(ShapeError):
-        eliminate((CrudeFactor(1, {v: 1}), CrudeFactor(2, {v: -2})), v)  # exponent -2
+        eliminated((CrudeFactor(1, {v: 1}), CrudeFactor(2, {v: -2})), v)  # exponent -2
 
 
 def _crude_with(spec, edits):

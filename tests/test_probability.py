@@ -7,6 +7,7 @@ import pytest
 
 from brokenstick import (
     ProblemSpec,
+    ResourceLimitError,
     gen_fib,
     parts_multiset,
     prob_exists,
@@ -14,6 +15,7 @@ from brokenstick import (
     prob_ngon,
     prob_none,
 )
+from brokenstick import probability
 
 
 def test_spec_validation():
@@ -22,6 +24,16 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(4, 3)
     ProblemSpec(3, 3)  # boundary is fine
+
+
+def test_prob_none_refuses_past_bound_before_building_parts(monkeypatch):
+    def fail(k, n):
+        raise AssertionError("a refused request built the parts")
+
+    monkeypatch.setattr(probability, "parts_multiset", fail)
+    for func in (prob_none, prob_exists):
+        with pytest.raises(ResourceLimitError, match=f"limit {probability._PROB_NONE_MAX_BITS}"):
+            func(ProblemSpec(3, 4001))
 
 
 def test_none_known_values():
