@@ -2,14 +2,20 @@
 
 Every successful invocation prints a single output record holding the
 command name, the parameters it ran with, the result payload, and the
-package version.  The default format is canonical JSON (sorted keys);
+package version.  ``params`` is the parsed command line less the
+subcommand and ``--format``: every option that has a value, defaults
+included, by its destination name (``--N-value`` is ``n_value``).
+``prob ngon`` echoes ``n`` alone, even given ``--k n``.  ``verify``
+echoes each flag by its suite's keyword: ``--ratio-n`` is ``big_total``
+for asymptotic and ``ratio_total`` for hermite; the rest keep their
+names.  The default format is canonical JSON (sorted keys);
 ``--format csv`` and ``--format plain`` print the same record flattened
 to dotted keys.  Integers inside the result payload are rendered as
 decimal strings so arbitrarily large exact values survive any JSON
 reader, and rationals are rendered as "numerator/denominator".
 
-Exit codes: 0 success, 2 usage error, 3 domain or resource error,
-4 verification suite failure.
+Exit codes: 0 success, 2 usage error (a verify flag its suite does not
+take is one), 3 domain or resource error, 4 verification suite failure.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import json
 import sys
 from dataclasses import asdict
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
-from fractions import Fraction
 from typing import Sequence
 
 from . import ResourceLimitError, __version__
@@ -33,9 +38,6 @@ from .probability import ProblemSpec, prob_exists, prob_forall, prob_ngon, prob_
 from .verification import SUITES, run_suite
 
 __all__ = ["build_parser", "main"]
-
-_EVENTS = ("none", "exists", "forall", "ngon")
-_ORACLES = ("brute", "parts", "series")
 
 # fib prints 2 (upto + 1) ints of up to upto bits each (the growth ratio
 # is below 2), so output and memory grow like upto^2 and rendering like
@@ -100,29 +102,16 @@ def _digits(value: int) -> str:
 
 
 def _encode(value):
-    """Result-payload encoding: exact ints and rationals become strings."""
+    """Result-payload encoding: exact ints become decimal strings."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
         return _digits(value)
-    if isinstance(value, Fraction):
-        return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
-    if isinstance(value, float):
-        return value
     if isinstance(value, dict):
         return {k: _encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     return value
-
-
-def _record(command: str, params: dict, result) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "result": _encode(result),
-        "version": __version__,
-    }
 
 
 def _decimal_str(num: Decimal, den: Decimal, digits: int) -> str:
@@ -162,43 +151,37 @@ def _emit(record: dict, fmt: str) -> None:
             print(f"{key} = {value}")
 
 
-def _cmd_prob(args) -> tuple[dict, int]:
-    if args.event == "ngon":
-        if args.k is not None and args.k != args.n:
+def _cmd_prob(event, n, k=None, decimal=None) -> dict:
+    if event == "ngon":
+        if k not in (None, n):
             raise ValueError("prob ngon uses all n pieces; omit --k or set it to n")
-        value = prob_ngon(args.n)
-        params = {"event": args.event, "n": args.n}
+        value = prob_ngon(n)
     else:
-        if args.k is None:
-            raise ValueError(f"prob {args.event} needs --k")
-        spec = ProblemSpec(args.k, args.n)
-        value = {"none": prob_none, "exists": prob_exists, "forall": prob_forall}[
-            args.event
-        ](spec)
-        params = {"event": args.event, "k": args.k, "n": args.n}
-    result: dict = {"probability": value}
-    if args.decimal is not None:
-        params["decimal"] = args.decimal
-        # The fraction string and the quotient share one conversion of each operand.
-        num, den = _to_decimal(value.numerator), _to_decimal(value.denominator)
-        result = {"probability": f"{num}/{den}", "decimal": _decimal_str(num, den, args.decimal)}
-    return _record("prob", params, result), 0
+        if k is None:
+            raise ValueError(f"prob {event} needs --k")
+        value = {"none": prob_none, "exists": prob_exists, "forall": prob_forall}[event](
+            ProblemSpec(k, n)
+        )
+    # The fraction string and the quotient share one conversion of each operand.
+    num, den = _to_decimal(value.numerator), _to_decimal(value.denominator)
+    result = {"probability": f"{num}/{den}"}
+    if decimal is not None:
+        result["decimal"] = _decimal_str(num, den, decimal)
+    return result
 
 
-def _cmd_fib(args) -> tuple[dict, int]:
-    if args.upto < 0:
-        raise ValueError(f"--upto must be nonnegative, got {args.upto}")
-    if args.upto > _FIB_MAX_UPTO:
-        raise ResourceLimitError(f"fib --upto {args.upto} is past the limit {_FIB_MAX_UPTO}")
-    terms, sums = fib_table(args.k, args.upto)
-    result = {"terms": terms, "partial_sums": sums}
-    return _record("fib", {"k": args.k, "upto": args.upto}, result), 0
+def _cmd_fib(k, upto) -> dict:
+    if upto < 0:
+        raise ValueError(f"--upto must be nonnegative, got {upto}")
+    if upto > _FIB_MAX_UPTO:
+        raise ResourceLimitError(f"fib --upto {upto} is past the limit {_FIB_MAX_UPTO}")
+    terms, sums = fib_table(k, upto)
+    return {"terms": terms, "partial_sums": sums}
 
 
-def _cmd_omega(args) -> tuple[dict, int]:
-    spec = ProblemSpec(args.k, args.n)
-    params = {"k": args.k, "n": args.n, "trace": bool(args.trace)}
-    if args.trace:
+def _cmd_omega(k, n, trace) -> dict:
+    spec = ProblemSpec(k, n)
+    if trace:
         product, steps = run_elimination(spec, trace=True)
     else:
         product = run_elimination(spec)
@@ -206,7 +189,7 @@ def _cmd_omega(args) -> tuple[dict, int]:
         "exponents": list(product.exponents),
         "sorted_exponents": list(product.sorted_exponents()),
     }
-    if args.trace:
+    if trace:
         result["steps"] = [
             {
                 "var": str(step.var),
@@ -215,78 +198,42 @@ def _cmd_omega(args) -> tuple[dict, int]:
             }
             for step in steps
         ]
-    return _record("omega", params, result), 0
+    return result
 
 
-def _cmd_count(args) -> tuple[dict, int]:
-    spec = ProblemSpec(args.k, args.n)
-    total = args.n_value
-    if args.oracle == "brute":
-        count = count_constrained(spec, total, args.positivity)
+def _cmd_count(k, n, n_value, oracle, positivity) -> dict:
+    spec = ProblemSpec(k, n)
+    if oracle == "brute":
+        count = count_constrained(spec, n_value, positivity)
+    elif positivity != "nonneg":
+        raise ValueError(f"the {oracle} oracle counts nonnegative solutions only")
+    elif oracle == "parts":
+        count = count_restricted(parts_multiset(k, n), n_value)
     else:
-        if args.positivity != "nonneg":
-            raise ValueError(
-                f"the {args.oracle} oracle counts nonnegative solutions only"
-            )
-        if args.oracle == "parts":
-            count = count_restricted(parts_multiset(args.k, args.n), total)
-        else:
-            count = series_coefficients(run_elimination(spec), total)[total]
-    params = {
-        "k": args.k,
-        "n": args.n,
-        "n_value": total,
-        "oracle": args.oracle,
-        "positivity": args.positivity,
-    }
-    return _record("count", params, {"count": count}), 0
+        count = series_coefficients(run_elimination(spec), n_value)[n_value]
+    return {"count": count}
 
 
-def _cmd_hermite(args) -> tuple[dict, int]:
-    count = hermite_coeff(args.n, args.n_value)
-    return _record("hermite", {"n": args.n, "n_value": args.n_value}, {"count": count}), 0
+def _cmd_hermite(n, n_value) -> dict:
+    return {"count": hermite_coeff(n, n_value)}
 
 
-def _cmd_simulate(args) -> tuple[dict, int]:
-    spec = ProblemSpec(args.k, args.n)
-    config = SimConfig(
-        spec=spec,
-        mode=args.mode,
-        trials=args.trials,
-        seed=args.seed,
-        chunks=args.chunks,
-    )
-    payload = asdict(estimate(config))
-    params = {
-        "mode": args.mode,
-        "k": args.k,
-        "n": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "chunks": args.chunks,
-    }
-    return _record("simulate", params, payload), 0
+def _cmd_simulate(mode, k, n, trials, seed, chunks) -> dict:
+    config = SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, seed=seed, chunks=chunks)
+    return asdict(estimate(config))
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
-    accepted = _SUITE_FLAGS[args.suite]
-    kwargs = {}
-    for attr, kwarg in accepted.items():
-        value = getattr(args, attr)
-        if value is not None:
-            kwargs[kwarg] = value
-    checks = run_suite(args.suite, **kwargs)
+def _cmd_verify(suite, **kwargs) -> tuple[dict, int]:
+    checks = run_suite(suite, **kwargs)
     passed = all(c.ok for c in checks)
     result = {
-        "suite": args.suite,
+        "suite": suite,
         "passed": passed,
         "total": len(checks),
         "failed": sum(1 for c in checks if not c.ok),
         "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks],
     }
-    params = {"suite": args.suite}
-    params.update(kwargs)
-    return _record("verify", params, result), 0 if passed else 4
+    return result, 0 if passed else 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prob", parents=[common], help="exact event probability")
-    p.add_argument("event", choices=_EVENTS)
+    p.add_argument("event", choices=MODES)
     p.add_argument("--k", type=int, help="polygon size (not used for ngon)")
     p.add_argument("--n", type=int, required=True, help="number of pieces")
     p.add_argument("--decimal", type=int, metavar="D", help="also print D significant digits")
@@ -328,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N-value", dest="n_value", type=int, required=True, metavar="M",
                    help="total being partitioned")
-    p.add_argument("--oracle", choices=_ORACLES, required=True)
+    p.add_argument("--oracle", choices=("brute", "parts", "series"), required=True)
     p.add_argument("--positivity", choices=("nonneg", "positive"), default="nonneg")
     p.set_defaults(func=_cmd_count)
 
@@ -365,24 +312,36 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # The params rule of the module docstring; each handler takes params as keywords.
+        params = {
+            key: value
+            for key, value in vars(args).items()
+            if key not in ("command", "func", "format") and value is not None
+        }
+        if args.command == "verify":
+            accepted = _SUITE_FLAGS[args.suite]
+            flags = {attr: params.pop(attr) for attr in list(params) if attr != "suite"}
+            for attr, value in flags.items():
+                if attr not in accepted:
+                    flag = "--" + attr.replace("_", "-")
+                    parser.error(f"{flag} does not apply to suite {args.suite!r}")
+                params[accepted[attr]] = value
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "verify":
-        accepted = _SUITE_FLAGS[args.suite]
-        for attr in ("max_total", "ratio_n", "trials", "seed", "chunks"):
-            if getattr(args, attr) is not None and attr not in accepted:
-                flag = "--" + attr.replace("_", "-")
-                parser.print_usage(sys.stderr)
-                print(
-                    f"{parser.prog}: error: {flag} does not apply to suite {args.suite!r}",
-                    file=sys.stderr,
-                )
-                return 2
     try:
-        record, code = args.func(args)
+        result = args.func(**params)
     except (ValueError, ResourceLimitError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 3
+    result, code = result if args.command == "verify" else (result, 0)
+    if args.command == "prob" and args.event == "ngon":
+        params.pop("k", None)  # checked equal to n; n alone names the n-gon
+    record = {
+        "command": args.command,
+        "params": params,
+        "result": _encode(result),
+        "version": __version__,
+    }
     _emit(record, args.format)
     return code
 

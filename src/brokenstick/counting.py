@@ -19,7 +19,7 @@ counts back to the continuous probabilities.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, e, factorial, log2, prod
 from typing import Iterable, Literal
 
 from .genfib import parts_multiset
@@ -49,6 +49,13 @@ _NODE_CAP = 10_000_000
 # a table would take about 10 s or more, or over half a GiB.
 _MAX_TABLE_CELLS = 50_000_000
 _MAX_TABLE_TOTAL = 10_000_000
+
+# hermite_coeff's cost is the binomial C(N-1, b) with b = min(n-1, N-n)
+# its smaller side, which has at most b log2(e (N-1) / b) bits.  By that
+# bound, on a 2-core host: 0.61 M bits (n = 250000, N = 500000) took
+# 2.6 s, 0.95 M (300000, 10^6) 6.9 s, 1.10 M (450000, 900000) 8.2 s and
+# 1.22 M (500000, 10^6) 11.0 s.
+_HERMITE_MAX_BITS = 1_200_000
 
 
 def count_constrained(
@@ -152,7 +159,8 @@ def hermite_coeff(n: int, n_value: int) -> int:
 
     This is the q^N coefficient of the generating function
     q^n / (1-q)^n - n q^(2n-1) / ((1-q)^n (1+q)^(n-1)).  Costs two
-    big-int binomials.
+    big-int binomials; raises ``ResourceLimitError`` when the larger may
+    have more than 1.2 * 10^6 bits (about 10 s).
     """
     if n < 3:
         raise ValueError(f"piece count must be at least 3, got {n}")
@@ -160,6 +168,13 @@ def hermite_coeff(n: int, n_value: int) -> int:
         raise ValueError(f"total must be nonnegative, got {n_value}")
     if n_value < n:
         return 0
+    side = min(n - 1, n_value - n)
+    bits = side * (log2(e) + log2(n_value - 1) - log2(side)) if side else 0
+    if bits > _HERMITE_MAX_BITS:
+        raise ResourceLimitError(
+            f"the composition count at n={n}, total {n_value} has up to {bits:.0f} bits"
+            f" (limit {_HERMITE_MAX_BITS})"
+        )
     return comb(n_value - 1, n - 1) - n * comb(n_value - n_value // 2 - 1, n - 1)
 
 

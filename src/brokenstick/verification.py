@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .counting import (
     asymptotic_ratio,
@@ -36,6 +36,29 @@ __all__ = [
 ]
 
 
+# suite_lemma1's cost is its exhaustive counts.  count_constrained
+# estimates t^(n-1) / (n! (n-1)!) search nodes at total t, which sum to
+# under (T+1)^n / (n n! (n-1)!) over totals 0..T.  The estimate grows
+# faster in T than the search does; on a 2-core host the default grid
+# took 3.7 s at T = 60 (0.89 M estimated nodes), 9.9 s at 75 (3.6 M) and
+# 15 s at 80 (5.5 M).
+_LEMMA1_MAX_NODES = 3_700_000
+
+# suite_hermite's cost is its composition DP: about 3 n t^2 / 8 additions
+# at total t, so n T^3 / 8 over totals 0..T.  The default n = 3, 4, 5
+# took 5.9 s at T = 400 (9.6 * 10^7 steps) and 9.7 s at 475 (1.6 * 10^8).
+_HERMITE_MAX_STEPS = 160_000_000
+
+
+def _check_total(suite: str, max_total: int, cost: int, limit: int, unit: str) -> None:
+    if max_total < 0:
+        raise ValueError(f"truncation order must be nonnegative, got {max_total}")
+    if cost > limit:
+        raise ResourceLimitError(
+            f"the {suite} suite to total {max_total} costs about {cost} {unit} (limit {limit})"
+        )
+
+
 @dataclass(frozen=True)
 class Check:
     """One named pass/fail observation with a human-readable detail."""
@@ -56,8 +79,15 @@ def suite_lemma1(
     the series expansion of the eliminated closed product, the
     partition DP over the predicted part sizes, and the exhaustive
     count of nonnegative solutions of the window system.  All three
-    must agree for every total up to ``max_total``.
+    must agree for every total up to ``max_total``.  Past the cost bound
+    above (max_total 75 on the default grid) raises ``ResourceLimitError``.
     """
+    nodes = sum(
+        (max_total + 1) ** n // (n * factorial(n) * factorial(n - 1))
+        for k in k_values
+        for n in range(k, k + n_extra + 1)
+    )
+    _check_total("lemma1", max_total, nodes, _LEMMA1_MAX_NODES, "search nodes")
     checks = []
     for k in k_values:
         for n in range(k, k + n_extra + 1):
@@ -193,11 +223,15 @@ def suite_hermite(
     ``ratio_tol`` of the continuous value 1 - n/2^(n-1) at N = ratio_total
     (first two n values only; the gap shrinks like 1/N).  A ratio_total
     below either of those n values has no compositions to divide by and
-    raises ``ValueError``.
+    raises ``ValueError``, as does a negative ``max_total``.  Past the
+    cost bound above (max_total 474 for the default n values) raises
+    ``ResourceLimitError``.
     """
     least = max(n_values[:2], default=0)
     if ratio_total < least:
         raise ValueError(f"ratio total must be at least {least}, got {ratio_total}")
+    steps = sum(n_values) * max_total**3 // 8
+    _check_total("hermite", max_total, steps, _HERMITE_MAX_STEPS, "DP steps")
     checks = []
     for n in n_values:
         bad = None

@@ -11,6 +11,7 @@ import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -20,17 +21,26 @@ from brokenstick import (
     ProblemSpec,
     SimConfig,
     __version__,
+    counting,
     montecarlo,
     omega,
     parts_multiset,
     prob_exists,
+    prob_forall,
     prob_none,
+    probability,
+    verification,
 )
 from brokenstick.cli import _DIRECT_BITS, _FIB_MAX_UPTO, _decimal_str, _digits, _to_decimal, main
-from brokenstick.counting import _MAX_TABLE_TOTAL
+from brokenstick.counting import _HERMITE_MAX_BITS, _MAX_TABLE_TOTAL
 from brokenstick.montecarlo import _BLOCK_WORK, _MAX_WORK
 from brokenstick.omega import _OMEGA_MAX_STEPS, _OMEGA_MAX_TRACE_BYTES, _omega_cost
-from brokenstick.probability import _PROB_NONE_MAX_BITS, _none_denominator_bits
+from brokenstick.probability import (
+    _PROB_FORALL_MAX_STEPS,
+    _PROB_NONE_MAX_BITS,
+    _none_denominator_bits,
+)
+from brokenstick.verification import _HERMITE_MAX_STEPS, _LEMMA1_MAX_NODES
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +53,19 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+# argv -> [exit code, stdout, stderr], one small request per subcommand in
+# each format plus usage (2), domain (3) and failing-suite (4) cases;
+# VERSION stands for the package version.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+def test_golden_output(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    for argv, (code, out, err) in GOLDEN.items():
+        want = (code, out.replace("VERSION", __version__), err)
+        assert run_cli(capsys, *argv.split()) == want, argv
 
 
 def test_prob_none_exact(capsys):
@@ -275,6 +298,62 @@ def test_count_refuses_table_past_bound_before_allocating(capsys):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _fail(*args):
+    raise AssertionError("a refused request started its work")
+
+
+def test_prob_forall_refuses_work_past_bound(capsys, monkeypatch):
+    # (k, largest n served): 9166 terms at k = 3, only 247 at k = 2000
+    for k, n in ((3, 9167), (2000, 2245)):
+        monkeypatch.setattr(probability, "comb", _fail)
+        code, out, err = run_cli(capsys, "prob", "forall", "--k", str(k), "--n", str(n + 1))
+        assert (code, out) == (3, ""), (k, n)
+        assert f"limit {_PROB_FORALL_MAX_STEPS}" in err
+        # served at the bound; with every binomial 0 the sum is 0
+        monkeypatch.setattr(probability, "comb", lambda *args: 0)
+        assert prob_forall(ProblemSpec(k, n)) == 0
+
+
+def test_hermite_refuses_bits_past_bound(capsys, monkeypatch):
+    # at N = 10^6 the binomial may pass 1.2 * 10^6 bits from n = 479283 on
+    monkeypatch.setattr(counting, "comb", _fail)
+    code, out, err = run_cli(capsys, "hermite", "--n", "479283", "--N-value", "1000000")
+    assert (code, out) == (3, "")
+    assert f"limit {_HERMITE_MAX_BITS}" in err
+    monkeypatch.setattr(counting, "comb", lambda *args: 0)
+    assert run_json(capsys, "hermite", "--n", "479282", "--N-value", "1000000")["result"] == {
+        "count": "0"
+    }
+
+
+def test_verify_suites_refuse_totals_past_bound(capsys, monkeypatch):
+    # (suite, largest max_total served on its default grid, its limit,
+    # the exhaustive count each check runs, the series route)
+    for suite, served, limit, count, series in (
+        ("lemma1", 75, _LEMMA1_MAX_NODES, "count_constrained", "run_elimination"),
+        ("hermite", 474, _HERMITE_MAX_STEPS, "_composition_count", "hermite_coeff"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(verification, count, _fail)
+            patch.setattr(verification, series, _fail)
+            argv = ("verify", "--suite", suite, "--max-total", str(served + 1))
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (3, ""), suite
+            assert f"limit {limit}" in err
+        # served at the bound; a count of -1 fails every check at total 0
+        monkeypatch.setattr(verification, count, lambda *args: -1)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-total", str(served))
+        assert code == 4, err
+
+
+def test_verify_hermite_rejects_negative_max_total(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "hermite", "--max-total", "-5")
+    assert (code, out) == (3, "")
+    assert err == "brokenstick: error: truncation order must be nonnegative, got -5\n"
+    with pytest.raises(ValueError):
+        verification.suite_hermite(max_total=-1)
 
 
 def _largest_trials(n, chunks):
