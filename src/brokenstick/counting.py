@@ -41,6 +41,9 @@ Positivity = Literal["nonneg", "positive"]
 # N^(n-1) / (n! (n-1)!) exceeds this.  N = 40 at n <= 7 and N <= 150 at
 # n <= 4 stay well inside.
 _NODE_CAP = 10_000_000
+# It recurses once per piece, so it refuses n past half of CPython's
+# default recursion limit of 1000, leaving the rest to its callers.
+_MAX_DEPTH = 500
 
 # The coin-change DP adds one int per cell, a (part p, total s) pair
 # with p <= s <= n_max, and keeps n_max + 1 ints.  On a 2-core host it
@@ -71,7 +74,8 @@ def count_constrained(
     backtracking over each slot's candidate values, largest first, with
     remaining-total and window pruning.
 
-    Raises ``ResourceLimitError`` when the crude node estimate
+    Raises ``ResourceLimitError`` for n > 500, since the search recurses
+    once per piece, and when the crude node estimate
     n_value^(n-1) / (n! (n-1)!) exceeds ten million.
     """
     if n_value < 0:
@@ -79,6 +83,10 @@ def count_constrained(
     if positivity not in ("nonneg", "positive"):
         raise ValueError(f"positivity must be 'nonneg' or 'positive', got {positivity!r}")
     k, n = spec.k, spec.n
+    if n > _MAX_DEPTH:
+        raise ResourceLimitError(
+            f"exhaustive search over n={n} pieces recurses past depth {_MAX_DEPTH}"
+        )
     estimate = n_value ** (n - 1) // (factorial(n) * factorial(n - 1))
     if estimate > _NODE_CAP:
         raise ResourceLimitError(

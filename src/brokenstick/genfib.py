@@ -19,6 +19,21 @@ the module holds no state and is safe to call from any thread.  All
 values are nonnegative integers and grow roughly geometrically (ratio
 approaching 2 as k grows), so everything here is plain unbounded-int
 arithmetic.
+
+A table through ``upto`` holds 2 (upto + 1) ints.  Term m is zero below
+m = k - 1 and at most 2^(m-k+1) from there on, and its running sum at
+most 2^(m-k+2), so with L = upto - k + 2 the two lists hold at most
+L (L + 1) bits.  ``h_val`` and ``parts_multiset`` also build the window
+and chain values of ``_chain``: 2 (k - 2) ints of at most
+L + 2 log2(k) + 1 bits each.  On a 2-core host ``count --oracle parts``,
+which builds both from the table of order k - 1 through n, peaked at
+about 63 bytes of RSS per entry (273 MiB at k = n = 4 * 10^6) and 0.136
+bytes per bit of that bound (236 MiB at k = 40, n = 40000; 201 MiB at
+k = 60000, n = 70000, nearly all of it chain), over a 29 MiB base.
+Past 5 * 10^6 entries per list or 4 * 10^9 bits, table and chain
+together, ``fib_table``, ``h_val`` and ``parts_multiset`` raise
+``ResourceLimitError`` before they allocate, so they stay under about
+850 MiB of RSS even at both bounds.
 """
 
 from __future__ import annotations
@@ -34,6 +49,26 @@ __all__ = [
     "parts_multiset",
 ]
 
+# Cost bounds of fib_table; see the module docstring.
+_TABLE_MAX_ENTRIES = 5_000_000
+_TABLE_MAX_BITS = 4_000_000_000
+
+
+def _check_size(k: int, upto: int, chain: int = 0) -> None:
+    # Refuses an order-k table through upto, plus `chain` values of up to
+    # k^2 times its last sum, past the bounds in the module docstring.
+    nonzero = max(0, upto - k + 2)
+    bits = nonzero * (nonzero + 1) + chain * (nonzero + 2 * k.bit_length() + 1)
+    if upto + 1 > _TABLE_MAX_ENTRIES or bits > _TABLE_MAX_BITS:
+        # probability imports this module, so its error is imported here
+        from .probability import ResourceLimitError
+
+        raise ResourceLimitError(
+            f"an order-{k} table through index {upto} holds {upto + 1} entries per list"
+            f" and up to {bits} bits, {chain} chain values included"
+            f" (limits {_TABLE_MAX_ENTRIES} entries, {_TABLE_MAX_BITS} bits)"
+        )
+
 
 def fib_table(k: int, upto: int) -> tuple[list[int], list[int]]:
     """Terms F_0..F_upto and running sums f_k(0)..f_k(upto), order k.
@@ -41,11 +76,13 @@ def fib_table(k: int, upto: int) -> tuple[list[int], list[int]]:
     F_0 = ... = F_{k-2} = 0 and F_{k-1} = 1.  Each later term is the sum
     of the k before it, read off the running sums as
     F_m = f_k(m-1) - f_k(m-k-1), so the whole table is one pass.
+    Raises ``ResourceLimitError`` past the bounds in the module docstring.
     """
     if k < 2:
         raise ValueError(f"sequence order must be at least 2, got {k}")
     if upto < 0:
         raise ValueError(f"sequence index must be nonnegative, got {upto}")
+    _check_size(k, upto)
     if upto < k - 1:
         return [0] * (upto + 1), [0] * (upto + 1)
     terms = [0] * (k - 1) + [1]
@@ -102,6 +139,7 @@ def h_val(k: int, n: int, l: int) -> int:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if not 2 <= l <= k - 1:
         raise ValueError(f"need 2 <= l <= k - 1, got l={l}, k={k}")
+    _check_size(k, n, 2 * (k - 2))
     return _chain(fib_table(k, n)[1], k, n)[l - 2]
 
 
@@ -117,5 +155,6 @@ def parts_multiset(k: int, n: int) -> tuple[int, ...]:
         raise ValueError(f"polygon size must be at least 3, got {k}")
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
+    _check_size(k - 1, n, 2 * (k - 3))
     sums = fib_table(k - 1, n)[1]
     return tuple(sums[k - 2 :] + _chain(sums, k - 1, n))

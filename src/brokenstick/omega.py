@@ -16,7 +16,8 @@ its slack (``lambda`` markers for the window inequalities, ``mu``
 markers for the tail ordering chain).  A product of such factors is a
 *crude form*; a marker appears with exponent +1 in the factor of the
 piece on the large side of its inequality and with exponent -1 in the
-factors of the pieces on the small side.
+factors of the pieces on the small side.  These are the marker's
+*carriers*: lambda_j's are pieces j..j+k-1 and mu_j's pieces j, j+1.
 
 Eliminating a marker v keeps exactly the terms of the expanded series
 whose v-exponent is nonnegative and then sets v = 1.  In the +-1
@@ -29,28 +30,31 @@ with X, Y_i monomials free of v, the result is
     1/(1 - X), 1/(1 - X*Y_1), ..., 1/(1 - X*Y_m)
 
 i.e. the +1 factor's monomial is multiplied into each -1 factor
-independently and v disappears.  Anything outside that fragment (a
-repeated +1, an exponent of magnitude >= 2, a missing +1) raises
-``ShapeError``.
+independently and v disappears.  Each step reads only v's carriers,
+which its inequality names; any other exponent there (a missing
+marker, a wrong sign, a magnitude >= 2) raises ``ShapeError``.
 
 Eliminating all markers of a crude form built here, window markers
 first and then the chain markers in index order, leaves a product of
 plain factors 1/(1 - q^e); the exponent multiset is returned as a
-``ClosedProduct``.  Each marker's shape is checked once, by its own
-step; a pass after the last step rejects any marker left over.  For
+``ClosedProduct``.  Each marker's carriers are checked once, by its
+own step; a pass after the last step rejects any marker left over,
+such as a copy that a merge spread off its inequality.  For
 every (k, n) the product coincides with the step-Fibonacci prediction
 of ``genfib.parts_multiset``, which is what makes the closed
 probability formulas work.
 
 ``run_elimination`` rewrites one list of factors in place, one pass per
-marker.  Each pass scans all n factors for the marker's carriers, and
-each of the n - k + 1 window markers rewrites about k factors of up to
-k entries: about n^2 + (n - k + 1) k^2 steps, 0.1-0.2 us each on a
-2-core host ((30, 300) 50 ms, (50, 2000) 0.92 s, (3, 8000) 7.0 s,
-(200, 2000) 7.5 s).  The trace keeps every rewritten factor, about 24
-bytes per unit of (n - k + 1) k^2 for markers plus k n^2 bytes for q
-exponents; this matched peak RSS within 10 % from (10, 4000) 166 MiB
-to (200, 600) 452 MiB.  Past 10^8 steps, or with ``trace=True`` past
+marker over its carriers.  Each of the n - k + 1 window markers
+rewrites k - 1 factors of up to k entries.  The bound still counts
+n^2 + (n - k + 1) k^2 steps, the cost when every pass scanned all n
+factors, so it is conservative, most of all for small k: on a 2-core
+host (30, 300) takes 17 ms, (50, 2000) 0.23 s, (200, 2000) 2.0 s,
+and at the bound (3, 9995) 0.11 s and (300, 1380) 2.5 s.  The trace
+keeps every rewritten factor, about 24 bytes per unit of
+(n - k + 1) k^2 for markers plus k n^2 bytes for q exponents; this
+matched peak RSS within 10 % from (10, 4000) 166 MiB to (200, 600)
+452 MiB.  Past 10^8 steps, or with ``trace=True`` past
 1 GiB of trace, ``run_elimination`` raises ``ResourceLimitError``
 before it builds the crude form.
 """
@@ -177,9 +181,9 @@ class ClosedProduct:
 class EliminationStep:
     """Trace record for one marker elimination.
 
-    ``consumed`` holds the factor positions that carried the marker,
-    the +1 position first; ``produced`` holds the replacement factors
-    at those same positions, in the same order.
+    ``consumed`` holds the factor positions of the marker's inequality,
+    the large piece (the +1 position) first; ``produced`` holds the
+    replacement factors at those same positions, in the same order.
     """
 
     var: Var
@@ -192,41 +196,35 @@ def build_crude(spec: ProblemSpec) -> tuple[CrudeFactor, ...]:
 
     Factor i - 1 belongs to piece i; elimination rewrites factors at
     their positions, so positions stay aligned with pieces and traces
-    are reproducible.
-
-    Piece i (1-based) carries marker exponents
-
-    * lambda_i^(+1)  if i <= n - k + 1        (piece starts a window),
-    * lambda_j^(-1)  for each window j whose small side covers i, i.e.
-      max(1, i - k + 1) <= j <= min(i - 1, n - k + 1),
-    * mu_i^(+1)      if n - k + 2 <= i <= n - 1   (tail ordering b_i >= b_{i+1}),
-    * mu_{i-1}^(-1)  if i >= n - k + 3,
-
-    and every factor carries q^1 since each piece adds its size to the
-    total.
+    are reproducible.  Each marker of ``elimination_order`` puts
+    exponent +1 on the large piece of its inequality and -1 on each
+    piece of the small side (see ``_carriers``), and every factor
+    carries q^1 since each piece adds its size to the total.
     """
-    k, n = spec.k, spec.n
-    factors = []
-    for i in range(1, n + 1):
-        powers: dict[Var, int] = {}
-        if i <= n - k + 1:
-            powers[Var(LAMBDA, i)] = 1
-        for j in range(max(1, i - k + 1), min(i - 1, n - k + 1) + 1):
-            powers[Var(LAMBDA, j)] = -1
-        if n - k + 2 <= i <= n - 1:
-            powers[Var(MU, i)] = 1
-        if i >= n - k + 3:
-            powers[Var(MU, i - 1)] = -1
-        factors.append(CrudeFactor(1, powers))
-    return tuple(factors)
+    powers: list[dict[Var, int]] = [{} for _ in range(spec.n)]
+    for var in elimination_order(spec):
+        large, *small = _carriers(var, spec.k)
+        powers[large][var] = 1
+        for pos in small:
+            powers[pos][var] = -1
+    return tuple(CrudeFactor(1, p) for p in powers)
 
 
 def elimination_order(spec: ProblemSpec) -> list[Var]:
-    """Marker order used by ``run_elimination``: all windows, then the chain."""
+    """Marker order used by ``run_elimination``: all windows, then the chain.
+
+    Window marker lambda_j (j <= n - k + 1) belongs to the inequality
+    b_j >= b_{j+1} + ... + b_{j+k-1}; chain marker mu_j (j < n) to the
+    tail ordering b_j >= b_{j+1}.
+    """
     k, n = spec.k, spec.n
-    order = [Var(LAMBDA, j) for j in range(1, n - k + 2)]
-    order.extend(Var(MU, j) for j in range(n - k + 2, n))
-    return order
+    return [Var(LAMBDA, j) if j <= n - k + 1 else Var(MU, j) for j in range(1, n)]
+
+
+def _carriers(var: Var, k: int) -> range:
+    # Factor positions of var's inequality, the large piece first: piece
+    # j, then the next k - 1 pieces for a window or the next one for the chain.
+    return range(var.index - 1, var.index - 1 + (k if var.kind == LAMBDA else 2))
 
 
 def _omega_cost(k: int, n: int) -> tuple[int, int]:
@@ -235,37 +233,26 @@ def _omega_cost(k: int, n: int) -> tuple[int, int]:
     return n * n + rewritten, 24 * rewritten + k * n * n
 
 
-def _eliminate(factors: list[CrudeFactor], var: Var) -> EliminationStep:
-    # Eliminates var, rewriting factors in place; var must appear with
-    # exponent +1 in exactly one factor and -1 elsewhere (ShapeError
-    # otherwise).  Each -1 carrier is merged with the +1 factor as it
-    # stands: var^-1 cancels against its var^+1, so every rewritten
-    # factor is built once.
-    plus_pos = None
-    minus_pos: list[int] = []
-    carriers = [pos for pos, fac in enumerate(factors) if var in fac.powers]
-    for pos in carriers:
-        e = factors[pos].powers[var]
-        if e == 1:
-            if plus_pos is not None:
-                raise ShapeError(
-                    f"{var} appears with exponent +1 in factors {plus_pos} and {pos}"
-                )
-            plus_pos = pos
-        elif e == -1:
-            minus_pos.append(pos)
-        else:
+def _eliminate(
+    factors: list[CrudeFactor], var: Var, consumed: tuple[int, ...]
+) -> EliminationStep:
+    # Eliminates var, rewriting the factors at its inequality's positions
+    # in place; var must have exponent +1 at consumed[0] and -1 at every
+    # other position (ShapeError otherwise).  Each -1 carrier is merged
+    # with the +1 factor as it stands: var^-1 cancels against its var^+1,
+    # so every rewritten factor is built once.
+    for pos in consumed:
+        e = factors[pos].powers.get(var, 0)
+        want = 1 if pos == consumed[0] else -1
+        if e != want:
             raise ShapeError(
-                f"{var} appears with exponent {e} in factor {pos}; only +-1 is supported"
+                f"{var} appears with exponent {e} in factor {pos}, expected {want:+d}"
             )
-    if plus_pos is None:
-        raise ShapeError(f"no factor carries {var} with exponent +1")
-
+    plus_pos, *minus_pos = consumed
     plus = factors[plus_pos]
     for pos in minus_pos:
         factors[pos] = factors[pos].merged_with(plus)
     factors[plus_pos] = plus.without(var)
-    consumed = (plus_pos, *minus_pos)
     return EliminationStep(var, consumed, tuple(factors[pos] for pos in consumed))
 
 
@@ -286,10 +273,11 @@ def run_elimination(spec, trace=False):
 
     Returns the resulting ``ClosedProduct``, or with ``trace=True`` a
     pair (product, steps) where steps has one ``EliminationStep`` per
-    marker in elimination order.  Each step checks the +-1 shape of
-    its own marker, and a final pass rejects any marker left over
-    (one the order never named); either violation means the engine
-    itself is broken and surfaces as ``ShapeError``.  Raises
+    marker in elimination order.  Each step checks its own marker's
+    exponents at the carriers of its inequality, and a final pass
+    rejects any marker left over (one the order never named, or one a
+    merge spread off its inequality); either violation means the
+    engine itself is broken and surfaces as ``ShapeError``.  Raises
     ``ResourceLimitError`` past the cost bounds in the module docstring.
     """
     steps_needed, trace_bytes = _omega_cost(spec.k, spec.n)
@@ -306,7 +294,7 @@ def run_elimination(spec, trace=False):
     factors = list(build_crude(spec))
     steps: list[EliminationStep] = []
     for var in elimination_order(spec):
-        step = _eliminate(factors, var)
+        step = _eliminate(factors, var, tuple(_carriers(var, spec.k)))
         if trace:
             steps.append(step)
     for pos, fac in enumerate(factors):

@@ -32,7 +32,8 @@ from brokenstick import (
     verification,
 )
 from brokenstick.cli import _DIRECT_BITS, _FIB_MAX_UPTO, _decimal_str, _digits, _to_decimal, main
-from brokenstick.counting import _HERMITE_MAX_BITS, _MAX_TABLE_TOTAL
+from brokenstick.counting import _HERMITE_MAX_BITS, _MAX_DEPTH, _MAX_TABLE_TOTAL
+from brokenstick.genfib import _TABLE_MAX_BITS, _TABLE_MAX_ENTRIES
 from brokenstick.montecarlo import _BLOCK_WORK, _MAX_WORK
 from brokenstick.omega import _OMEGA_MAX_STEPS, _OMEGA_MAX_TRACE_BYTES, _omega_cost
 from brokenstick.probability import (
@@ -298,6 +299,38 @@ def test_count_refuses_table_past_bound_before_allocating(capsys):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_count_brute_refuses_depth_before_estimating(capsys, monkeypatch):
+    # the search recurses once per piece: n = 997 used to die of RecursionError,
+    # and n = 10^6 spent 20 s on factorial(n) for the node estimate first
+    monkeypatch.setattr(counting, "factorial", _fail)
+    for n in (_MAX_DEPTH + 1, 997, 10**6):
+        argv = ("--k", "3", "--n", str(n), "--N-value", "0", "--oracle", "brute")
+        code, out, err = run_cli(capsys, "count", *argv)
+        assert (code, out) == (3, ""), n
+        assert f"depth {_MAX_DEPTH}" in err
+    monkeypatch.undo()
+    argv = ("--k", "3", "--n", str(_MAX_DEPTH), "--N-value", "10", "--oracle", "brute")
+    assert run_json(capsys, "count", *argv)["result"] == {"count": "14"}
+
+
+def test_count_parts_refuses_tables_past_bound_before_allocating(capsys):
+    # (k, n): too many entries, too many table bits, too many chain bits
+    tracemalloc.start()
+    try:
+        for k, n in ((3, _TABLE_MAX_ENTRIES), (3, 63246), (970000, 10**6)):
+            argv = ("--k", str(k), "--n", str(n), "--N-value", "5", "--oracle", "parts")
+            code, out, err = run_cli(capsys, "count", *argv)
+            assert (code, out) == (3, ""), (k, n)
+            assert f"limits {_TABLE_MAX_ENTRIES} entries, {_TABLE_MAX_BITS} bits" in err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # k = n = 300000 builds 300001 entries per list of small ints
+    argv = ("--k", "300000", "--n", "300000", "--N-value", "5", "--oracle", "parts")
+    assert run_json(capsys, "count", *argv)["result"] == {"count": "4"}
 
 
 def _fail(*args):

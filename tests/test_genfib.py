@@ -7,7 +7,16 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from brokenstick import f_sum, fib_table, g_val, gen_fib, h_val, parts_multiset
+from brokenstick import (
+    ResourceLimitError,
+    f_sum,
+    fib_table,
+    g_val,
+    gen_fib,
+    genfib,
+    h_val,
+    parts_multiset,
+)
 
 
 # Independent oracle: the defining recurrence, no tables involved.
@@ -70,6 +79,49 @@ def test_fib_table_memory_follows_upto_not_k():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (fib_table, (10**7, genfib._TABLE_MAX_ENTRIES)),  # entries, all of them 0
+        (fib_table, (2, 63246)),  # 63246 * 63247 bits of Fibonacci numbers
+        (parts_multiset, (970000, 10**6)),  # 2 * 969997 chain values of ~30000 bits
+        (h_val, (10**6, 10**6 + 30000, 2)),
+    ],
+    ids=["entries", "table-bits", "parts-chain-bits", "h-chain-bits"],
+)
+def test_tables_refuse_past_bounds_before_allocating(call, args):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"{genfib._TABLE_MAX_BITS} bits"):
+            call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def test_tables_serve_at_the_bounds(monkeypatch):
+    # tables at the real bounds take hundreds of MiB, so the bounds are lowered
+    monkeypatch.setattr(genfib, "_TABLE_MAX_ENTRIES", 100)
+    assert fib_table(10**6, 99) == ([0] * 100, [0] * 100)
+    with pytest.raises(ResourceLimitError):
+        fib_table(10**6, 100)
+    monkeypatch.undo()
+    # (bits, call, args): an order-3 table through 21 holds 20 * 21 bits;
+    # parts_multiset(5, 8) adds 4 chain values of 6 + 2 * 3 + 1 bits to an
+    # order-4 table of 6 * 7, and h_val(4, 6, 2) 4 of 4 + 7 to one of 4 * 5
+    for bits, call, args in (
+        (420, fib_table, (3, 21)),
+        (94, parts_multiset, (5, 8)),
+        (64, h_val, (4, 6, 2)),
+    ):
+        monkeypatch.setattr(genfib, "_TABLE_MAX_BITS", bits)
+        assert call(*args)
+        monkeypatch.setattr(genfib, "_TABLE_MAX_BITS", bits - 1)
+        with pytest.raises(ResourceLimitError):
+            call(*args)
 
 
 def test_known_terms():
@@ -197,8 +249,8 @@ def test_monotone_growth():
 
 
 def test_shared_tables_survive_concurrent_use():
-    # hammer the module-level cache from several threads; results must
-    # match the single-threaded oracle exactly
+    # call from several threads at once; every table is built per call,
+    # so results must match the single-threaded oracle exactly
     def worker(seed):
         return [gen_fib(3, 150 + (seed + i) % 40) for i in range(40)]
 

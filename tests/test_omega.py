@@ -30,10 +30,11 @@ def mu(i):
     return Var(MU, i)
 
 
-def eliminated(factors, var):
-    # one engine step on a list copy, so the input can be checked after
+def eliminated(factors, var, consumed):
+    # one engine step on a list copy, so the input can be checked after;
+    # consumed names var's carriers, the +1 position first
     out = list(factors)
-    omega._eliminate(out, var)
+    omega._eliminate(out, var, consumed)
     return out
 
 
@@ -98,7 +99,7 @@ def test_run_elimination_refuses_past_bounds_before_building(monkeypatch):
 def test_eliminate_two_factor_identity():
     # 1/((1 - q*v)(1 - q/v)) -> 1/((1 - q)(1 - q^2))
     v = lam(1)
-    out = eliminated((CrudeFactor(1, {v: 1}), CrudeFactor(1, {v: -1})), v)
+    out = eliminated((CrudeFactor(1, {v: 1}), CrudeFactor(1, {v: -1})), v, (0, 1))
     assert [f.q_exp for f in out] == [1, 2]
     assert all(not f.powers for f in out)
 
@@ -113,7 +114,7 @@ def test_eliminate_broadcasts_into_each_minus_factor():
         CrudeFactor(1, {v: -1}),
         CrudeFactor(1, {v: -1}),
     )
-    out = eliminated(factors, v)
+    out = eliminated(factors, v, (0, 1, 2, 3))
     assert [f.q_exp for f in out] == [1, 2, 2, 2]
     # the input keeps its factors and their monomials
     assert [f.powers for f in factors] == [{v: 1}, {v: -1}, {v: -1}, {v: -1}]
@@ -127,7 +128,7 @@ def test_eliminate_carries_other_markers_along():
         CrudeFactor(1, {v: -1}),
         CrudeFactor(1, {w: -1}),
     )
-    out = eliminated(factors, v)
+    out = eliminated(factors, v, (0, 1))
     assert out[0].powers == {w: 1}
     assert out[1].powers == {w: 1}
     assert out[1].q_exp == 2
@@ -142,7 +143,7 @@ def test_eliminate_cancels_opposite_exponents():
         CrudeFactor(1, {v: 1, w: 1}),
         CrudeFactor(1, {v: -1, w: -1}),
     )
-    out = eliminated(factors, v)
+    out = eliminated(factors, v, (0, 1))
     assert out[1].powers == {}
     assert out[1].q_exp == 2
 
@@ -150,20 +151,24 @@ def test_eliminate_cancels_opposite_exponents():
 def test_eliminate_shape_errors():
     v = lam(1)
     with pytest.raises(ShapeError):
-        eliminated((CrudeFactor(1, {v: -1}),), v)  # no +1
+        eliminated((CrudeFactor(1, {v: -1}),), v, (0,))  # no +1
     with pytest.raises(ShapeError):
-        eliminated((CrudeFactor(1, {v: 1}), CrudeFactor(1, {v: 1})), v)  # two +1
+        eliminated((CrudeFactor(1, {v: 1}), CrudeFactor(1, {v: 1})), v, (0, 1))  # two +1
     with pytest.raises(ShapeError):
-        eliminated((CrudeFactor(1, {v: 2}),), v)  # exponent 2
+        eliminated((CrudeFactor(1, {v: 2}),), v, (0,))  # exponent 2
     with pytest.raises(ShapeError):
-        eliminated((CrudeFactor(1, {v: 1}), CrudeFactor(2, {v: -2})), v)  # exponent -2
+        eliminated((CrudeFactor(1, {v: 1}), CrudeFactor(2, {v: -2})), v, (0, 1))  # exponent -2
+    with pytest.raises(ShapeError, match="exponent 0 in factor 1"):
+        eliminated((CrudeFactor(1, {v: 1}), CrudeFactor(1, {})), v, (0, 1))  # missing -1
 
 
 def _crude_with(spec, edits):
-    # crude form for spec with some factors' marker powers overwritten
+    # crude form for spec with some factors' marker powers overwritten;
+    # an exponent of 0 drops the marker from that factor
     factors = list(build_crude(spec))
     for pos, changes in edits.items():
-        factors[pos] = CrudeFactor(factors[pos].q_exp, {**factors[pos].powers, **changes})
+        powers = {**factors[pos].powers, **changes}
+        factors[pos] = CrudeFactor(factors[pos].q_exp, {v: e for v, e in powers.items() if e})
     return tuple(factors)
 
 
@@ -172,13 +177,26 @@ def _crude_with(spec, edits):
     [
         # a marker elimination_order never names: only the final check sees it
         ({2: {Var("nu", 1): 1}, 3: {Var("nu", 1): -1}}, "nu_1 survives"),
-        # the last chain marker gains a second +1 factor; it is only met
-        # after every window marker has been eliminated
-        ({0: {mu(4): 1}}, r"mu_4 appears with exponent \+1 in factors"),
+        # the last chain marker gains a second +1 factor; the window steps
+        # carry it along, and it is only met at mu_4's own step
+        ({0: {mu(4): 1}}, "mu_4 appears with exponent 4 in factor 3"),
         # exponent 2 on a window marker that is eliminated after the first
         ({2: {lam(2): 2}}, "lambda_2 appears with exponent 2"),
+        # piece 2 loses its lambda_1^-1: the product of another system
+        ({1: {lam(1): 0}}, "lambda_1 appears with exponent 0 in factor 1"),
+        # piece 5 gains a lambda_1^-1 outside the window of lambda_1
+        ({4: {lam(1): -1}}, "lambda_1 survives elimination in factor 4"),
+        # the +1 of lambda_2 moves from piece 2 to piece 3
+        ({1: {lam(2): -1}, 2: {lam(2): 1}}, "lambda_2 appears with exponent -1 in factor 1"),
     ],
-    ids=["unknown-marker", "late-double-plus", "exponent-2"],
+    ids=[
+        "unknown-marker",
+        "late-double-plus",
+        "exponent-2",
+        "dropped-minus",
+        "stray-minus",
+        "moved-plus",
+    ],
 )
 def test_run_elimination_rejects_broken_crude_forms(monkeypatch, edits, message):
     spec = ProblemSpec(3, 5)  # markers lambda_1..3, then mu_4
