@@ -8,7 +8,7 @@ a symbolic inequality-elimination engine, exhaustive and generating
 function counting, and vectorized Monte Carlo simulation.
 """
 
-from .genfib import f_sum, fib_table, g_val, gen_fib, h_val, parts_multiset
+from .genfib import f_sum, fib_table, gen_fib, parts_multiset
 from .probability import (
     ProblemSpec,
     ResourceLimitError,
@@ -48,8 +48,6 @@ __all__ = [
     "fib_table",
     "gen_fib",
     "f_sum",
-    "g_val",
-    "h_val",
     "parts_multiset",
     "ProblemSpec",
     "ResourceLimitError",

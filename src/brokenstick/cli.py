@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 from dataclasses import asdict
-from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from typing import Sequence
 
 from . import ResourceLimitError, __version__
@@ -45,6 +46,15 @@ __all__ = ["build_parser", "main"]
 # 20000, 20 s and 668 MiB at 30000; k = 40 takes 13 s at 20000.  Past
 # this bound even k = 2 would run for about 10 s or more.
 _FIB_MAX_UPTO = 24_000
+
+# prob --decimal D adds a D-digit division to the probability.  On a
+# 2-core host the division of the operands of none and exists at n = 4000
+# (whose fractions alone take 3.5-8 s) took 0.8 s at D = 10^6, 3.3 s at
+# 5 * 10^6 and 6.7 s at 10^7; with small operands a whole request took
+# 0.01 s and 32 MiB of RSS at 10^6, and about 3 bytes per digit beyond.
+# Past this bound D is refused before any work, so the largest served
+# request stays near 10 s.
+_DECIMAL_MAX_DIGITS = 1_000_000
 
 # verify flags that each suite accepts, as CLI attr -> suite kwarg.
 _SUITE_FLAGS: dict[str, dict[str, str]] = {
@@ -116,10 +126,10 @@ def _encode(value):
 
 def _decimal_str(num: Decimal, den: Decimal, digits: int) -> str:
     # num / den correctly rounded (half even) to the given significant digits.
-    if digits < 1:
-        raise ValueError(f"need at least 1 significant digit, got {digits}")
     with localcontext() as ctx:
+        # probabilities can lie below the default context's 10^-999999
         ctx.prec = digits
+        ctx.Emin = MIN_EMIN
         return str(num / den)
 
 
@@ -152,6 +162,11 @@ def _emit(record: dict, fmt: str) -> None:
 
 
 def _cmd_prob(event, n, k=None, decimal=None) -> dict:
+    if decimal is not None:
+        if decimal < 1:
+            raise ValueError(f"need at least 1 significant digit, got {decimal}")
+        if decimal > _DECIMAL_MAX_DIGITS:
+            raise ResourceLimitError(f"--decimal {decimal} is past the limit {_DECIMAL_MAX_DIGITS}")
     if event == "ngon":
         if k not in (None, n):
             raise ValueError("prob ngon uses all n pieces; omit --k or set it to n")
@@ -308,8 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: building it took 0.68 ms of a 0.75 ms
+    # `prob none --k 4 --n 5` on a 2-core host.  Parsing leaves it unchanged; it keeps the
+    # `_cmd_*` handlers it was built with.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         # The params rule of the module docstring; each handler takes params as keywords.

@@ -4,14 +4,14 @@ The order-k sequence starts with k - 1 zeros followed by a single one,
 and every later term is the sum of the k terms before it.  Order 2 is
 the ordinary Fibonacci sequence shifted so that F_1 = 1.
 
-Three derived quantities recur throughout the package:
+Two derived quantities recur throughout the package:
 
 * ``f_sum(k, i)``: the running sum of the sequence through index i.
   These are the exponents produced by the elimination engine and the
   factors of the no-polygon probability denominator.
-* ``g_val(k, n, j)``: 1 plus the window sum f_k(n-2) + ... + f_k(n-j).
-* ``h_val(k, n, l)``: f_k(n) plus a chain of g values; these are the
-  correction factors that appear once the polygon size exceeds 3.
+* ``parts_multiset(k, n)``: those running sums of order k - 1, followed
+  by the chain of window sums that joins them once the polygon size
+  exceeds 3; the product of all n is the no-polygon denominator.
 
 Every function builds what it needs from one ``fib_table`` pass, which
 costs O(upto) big-int additions; nothing is cached between calls, so
@@ -23,15 +23,15 @@ arithmetic.
 A table through ``upto`` holds 2 (upto + 1) ints.  Term m is zero below
 m = k - 1 and at most 2^(m-k+1) from there on, and its running sum at
 most 2^(m-k+2), so with L = upto - k + 2 the two lists hold at most
-L (L + 1) bits.  ``h_val`` and ``parts_multiset`` also build the window
-and chain values of ``_chain``: 2 (k - 2) ints of at most
+L (L + 1) bits.  ``parts_multiset(k, n)`` reads the table of order
+k - 1 through n and adds 2 (k - 3) window and chain values of at most
 L + 2 log2(k) + 1 bits each.  On a 2-core host ``count --oracle parts``,
-which builds both from the table of order k - 1 through n, peaked at
+which builds both, peaked at
 about 63 bytes of RSS per entry (273 MiB at k = n = 4 * 10^6) and 0.136
 bytes per bit of that bound (236 MiB at k = 40, n = 40000; 201 MiB at
 k = 60000, n = 70000, nearly all of it chain), over a 29 MiB base.
 Past 5 * 10^6 entries per list or 4 * 10^9 bits, table and chain
-together, ``fib_table``, ``h_val`` and ``parts_multiset`` raise
+together, ``fib_table`` and ``parts_multiset`` raise
 ``ResourceLimitError`` before they allocate, so they stay under about
 850 MiB of RSS even at both bounds.
 """
@@ -44,8 +44,6 @@ __all__ = [
     "fib_table",
     "gen_fib",
     "f_sum",
-    "g_val",
-    "h_val",
     "parts_multiset",
 ]
 
@@ -104,52 +102,20 @@ def f_sum(k: int, i: int) -> int:
     return fib_table(k, i)[1][i]
 
 
-def _chain(sums: list[int], k: int, n: int) -> list[int]:
-    # h_k(n, 2), ..., h_k(n, k-1) from the order-k running sums through n.
-    # g[w-1] is the width-w window value; each h adds one narrower g.
-    g = list(accumulate((sums[n - w] for w in range(2, k)), initial=1))
-    return list(accumulate((g[k - l] for l in range(2, k)), initial=sums[n]))[1:]
-
-
-def g_val(k: int, n: int, j: int) -> int:
-    """1 + f_k(n-2) + f_k(n-3) + ... + f_k(n-j).
-
-    Defined for 2 <= j <= n and n >= k.
-    """
-    if k < 2:
-        raise ValueError(f"sequence order must be at least 2, got {k}")
-    if n < k:
-        raise ValueError(f"need n >= k, got n={n}, k={k}")
-    if not 2 <= j <= n:
-        raise ValueError(f"need 2 <= j <= n, got j={j}, n={n}")
-    return 1 + sum(fib_table(k, n)[1][n - j : n - 1])
-
-
-def h_val(k: int, n: int, l: int) -> int:
-    """f_k(n) + g_k(k-1) + g_k(k-2) + ... + g_k(k+1-l).
-
-    Defined for 2 <= l <= k - 1; the chain pulls in one g value per
-    step.  These are the extra denominator factors of the no-polygon
-    probability for polygon sizes 4 and up (size 4 uses only l = 2,
-    size 3 none).
-    """
-    if k < 3:
-        raise ValueError(f"need sequence order >= 3, got {k}")
-    if n < k:
-        raise ValueError(f"need n >= k, got n={n}, k={k}")
-    if not 2 <= l <= k - 1:
-        raise ValueError(f"need 2 <= l <= k - 1, got l={l}, k={k}")
-    _check_size(k, n, 2 * (k - 2))
-    return _chain(fib_table(k, n)[1], k, n)[l - 2]
-
-
 def parts_multiset(k: int, n: int) -> tuple[int, ...]:
     """Part sizes of the one-variable counting product for (k, n).
 
-    The n - k + 3 running sums f_{k-1}(k-2), ..., f_{k-1}(n) followed by
-    the k - 3 chain values h_{k-1}(2), ..., h_{k-1}(k-2); the chain
-    block is empty for k = 3.  Exactly n values in total; their product
-    is the denominator of the no-polygon probability.  O(n) additions.
+    With f the running sums of order k - 1, the parts are the n - k + 3
+    sums f(k-2), ..., f(n) followed by the k - 3 chain values
+    h(2), ..., h(k-2), where
+
+        g(j) = 1 + f(n-2) + f(n-3) + ... + f(n-j),
+        h(l) = f(n) + g(k-2) + g(k-3) + ... + g(k-l).
+
+    These are the paper's linear combinations of partial sums: a polygon
+    of size 4 uses only h(2), and size 3 has no chain block.  Exactly n
+    values in total; their product is the denominator of the no-polygon
+    probability.  O(n) additions.
     """
     if k < 3:
         raise ValueError(f"polygon size must be at least 3, got {k}")
@@ -157,4 +123,7 @@ def parts_multiset(k: int, n: int) -> tuple[int, ...]:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     _check_size(k - 1, n, 2 * (k - 3))
     sums = fib_table(k - 1, n)[1]
-    return tuple(sums[k - 2 :] + _chain(sums, k - 1, n))
+    # g[j-1] = g(j) for j = 1..k-2, g(1) = 1; each h adds one narrower g.
+    g = list(accumulate((sums[n - j] for j in range(2, k - 1)), initial=1))
+    chain = accumulate((g[k - 1 - l] for l in range(2, k - 1)), initial=sums[n])
+    return tuple(sums[k - 2 :] + list(chain)[1:])

@@ -10,13 +10,14 @@ import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import prod
+from math import floor, log10, prod
 from pathlib import Path
 
 import pytest
 
 import brokenstick
 from brokenstick import (
+    cli,
     DEFAULT_CHUNKS,
     ProblemSpec,
     SimConfig,
@@ -31,7 +32,15 @@ from brokenstick import (
     probability,
     verification,
 )
-from brokenstick.cli import _DIRECT_BITS, _FIB_MAX_UPTO, _decimal_str, _digits, _to_decimal, main
+from brokenstick.cli import (
+    _DECIMAL_MAX_DIGITS,
+    _DIRECT_BITS,
+    _FIB_MAX_UPTO,
+    _decimal_str,
+    _digits,
+    _to_decimal,
+    main,
+)
 from brokenstick.counting import _HERMITE_MAX_BITS, _MAX_DEPTH, _MAX_TABLE_TOTAL
 from brokenstick.genfib import _TABLE_MAX_BITS, _TABLE_MAX_ENTRIES
 from brokenstick.montecarlo import _BLOCK_WORK, _MAX_WORK
@@ -67,6 +76,36 @@ def test_golden_output(capsys, monkeypatch):
     for argv, (code, out, err) in GOLDEN.items():
         want = (code, out.replace("VERSION", __version__), err)
         assert run_cli(capsys, *argv.split()) == want, argv
+
+
+def test_main_is_reentrant(capsys, monkeypatch):
+    # one parser serves every request of the process: back-to-back calls
+    # across subcommands, usage (2) and domain (3) errors in between, each
+    # give the golden answer, and none builds a parser again
+    monkeypatch.setenv("COLUMNS", "80")
+    main(["prob", "none", "--k", "4", "--n", "5"])
+    capsys.readouterr()
+
+    def rebuilt():
+        raise AssertionError("build_parser called again")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    requests = [
+        "prob none --k 4 --n 5 --format json",
+        "prob --format json",
+        "omega --k 3 --n 4 --trace --format plain",
+        "verify --suite prop2 --trials 10 --format csv",
+        "prob none --k 2 --n 5 --format json",
+        "count --k 3 --n 4 --N-value 6 --oracle parts --format csv",
+        "simulate --mode none --k 3 --n 3 --trials 100 --seed 7 --chunks 2 --format json",
+        "fib --k 2 --upto 24001 --format plain",
+        "prob exists --k 3 --n 4 --decimal 5 --format csv",
+        "prob none --k 4 --n 5 --format json",
+    ]
+    for argv in requests:
+        code, out, err = GOLDEN[argv]
+        assert run_cli(capsys, *argv.split()) == (code, out.replace("VERSION", __version__), err), argv
+    assert {GOLDEN[argv][0] for argv in requests} == {0, 2, 3}
 
 
 def test_prob_none_exact(capsys):
@@ -235,6 +274,72 @@ def test_decimal_str_matches_decimal_division():
     assert decimal_str(Fraction(1, 8), 2) == "0.12"
     assert decimal_str(Fraction(5, 8), 2) == "0.62"
     assert decimal_str(Fraction(5, 8), 1) == "0.6"
+
+
+def rounded_by_ints(value: Fraction, digits: int) -> str:
+    # value > 0 rounded half even to `digits` significant digits, printed as
+    # str(Decimal) prints a quotient that does not terminate within them;
+    # integer arithmetic only, so no decimal context limit applies
+    num, den = value.numerator, value.denominator
+    shift = digits - 1 + floor((den.bit_length() - num.bit_length()) * log10(2))
+    a, b = (num * 10**shift, den) if shift >= 0 else (num, den * 10**-shift)
+    # a / b = value * 10^shift, brought into [10^(digits-1), 10^digits)
+    while a < b * 10 ** (digits - 1):
+        a, shift = a * 10, shift + 1
+    while a >= b * 10**digits:
+        b, shift = b * 10, shift - 1
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q % 2):
+        q += 1
+    if q == 10**digits:
+        q, shift = q // 10, shift - 1
+    return str(Decimal((0, tuple(map(int, str(q))), -shift)))
+
+
+def test_decimals_below_the_default_exponent_limit(capsys, monkeypatch):
+    # the default context stops at 10^-999999: digits are lost just below
+    # it and the quotient flushes to zero further down
+    value = Fraction(1, 3 * 10**1_000_000)
+    want = rounded_by_ints(value, 6)
+    assert want == "3.33333E-1000001"
+    assert _decimal_str(Decimal(1), Decimal("3E1000000"), 6) == want
+    value = prob_none(ProblemSpec(3, 3200))
+    want = rounded_by_ints(value, 6)
+    assert want == "2.12350E-1060741"
+    # the request reuses the value computed above instead of a second prob_none
+    monkeypatch.setattr(cli, "prob_none", {ProblemSpec(3, 3200): value}.__getitem__)
+    record = run_json(capsys, "prob", "none", "--k", "3", "--n", "3200", "--decimal", "6")
+    assert record["result"]["decimal"] == want
+
+
+def test_prob_decimal_checked_before_any_work(capsys, monkeypatch):
+    def never(spec):
+        raise AssertionError("the probability was computed")
+
+    monkeypatch.setattr(cli, "prob_none", never)
+    for digits, error in ((0, "at least 1"), (_DECIMAL_MAX_DIGITS + 1, "limit")):
+        code, out, err = run_cli(
+            capsys, "prob", "none", "--k", "50", "--n", "4000", "--decimal", str(digits)
+        )
+        assert (code, out) == (3, "")
+        assert error in err
+    monkeypatch.undo()
+
+    def fifteen_88(digits):
+        # 15/88 = 0.170454545...: past 170 the digits repeat 45, and the
+        # digit after the last kept one rounds it by itself (5 is followed
+        # by 4s, 4 by 5s, so no tie)
+        kept = ("170" + "45" * digits)[: digits + 1]
+        return "0." + (kept[:-1] if kept[-1] == "4" else kept[:-2] + "5")
+
+    assert [fifteen_88(d) for d in range(3, 40)] == [
+        rounded_by_ints(Fraction(15, 88), d) for d in range(3, 40)
+    ]
+    # at the bound a small probability is served with every digit
+    record = run_json(
+        capsys, "prob", "none", "--k", "4", "--n", "5", "--decimal", str(_DECIMAL_MAX_DIGITS)
+    )
+    assert record["result"]["decimal"] == fifteen_88(_DECIMAL_MAX_DIGITS)
 
 
 def test_prob_none_refuses_denominators_past_bound(capsys):

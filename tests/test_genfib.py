@@ -1,5 +1,7 @@
-"""Step-Fibonacci terms, running sums, and the derived g/h values."""
+"""Step-Fibonacci terms, running sums, and the parts built from them."""
 
+import importlib
+import pkgutil
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -7,14 +9,13 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+import brokenstick
 from brokenstick import (
     ResourceLimitError,
     f_sum,
     fib_table,
-    g_val,
     gen_fib,
     genfib,
-    h_val,
     parts_multiset,
 )
 
@@ -33,7 +34,8 @@ def naive_f(k: int, i: int) -> int:
     return sum(naive_fib(k, m) for m in range(0, i + 1))
 
 
-# The derived values, spelled out from their docstrings on top of naive_f.
+# The window and chain values, spelled out from parts_multiset's docstring
+# on top of naive_f (there of order k - 1).
 def naive_g(k: int, n: int, j: int) -> int:
     return 1 + sum(naive_f(k, n - l) for l in range(2, j + 1))
 
@@ -87,9 +89,8 @@ def test_fib_table_memory_follows_upto_not_k():
         (fib_table, (10**7, genfib._TABLE_MAX_ENTRIES)),  # entries, all of them 0
         (fib_table, (2, 63246)),  # 63246 * 63247 bits of Fibonacci numbers
         (parts_multiset, (970000, 10**6)),  # 2 * 969997 chain values of ~30000 bits
-        (h_val, (10**6, 10**6 + 30000, 2)),
     ],
-    ids=["entries", "table-bits", "parts-chain-bits", "h-chain-bits"],
+    ids=["entries", "table-bits", "parts-chain-bits"],
 )
 def test_tables_refuse_past_bounds_before_allocating(call, args):
     tracemalloc.start()
@@ -111,11 +112,10 @@ def test_tables_serve_at_the_bounds(monkeypatch):
     monkeypatch.undo()
     # (bits, call, args): an order-3 table through 21 holds 20 * 21 bits;
     # parts_multiset(5, 8) adds 4 chain values of 6 + 2 * 3 + 1 bits to an
-    # order-4 table of 6 * 7, and h_val(4, 6, 2) 4 of 4 + 7 to one of 4 * 5
+    # order-4 table of 6 * 7
     for bits, call, args in (
         (420, fib_table, (3, 21)),
         (94, parts_multiset, (5, 8)),
-        (64, h_val, (4, 6, 2)),
     ):
         monkeypatch.setattr(genfib, "_TABLE_MAX_BITS", bits)
         assert call(*args)
@@ -163,38 +163,19 @@ def test_order2_closed_form():
         assert f_sum(2, i) == gen_fib(2, i + 2) - 1
 
 
-def test_g_values():
-    assert g_val(2, 4, 2) == 3
-    assert g_val(3, 5, 2) == 3
-    assert g_val(3, 6, 2) == 5
-    # widening the window adds one running sum per step
-    assert g_val(3, 7, 3) == 1 + f_sum(3, 5) + f_sum(3, 4)
-
-
-def test_h_values():
-    assert h_val(3, 5, 2) == 11
-    assert h_val(3, 6, 2) == 20
-    assert h_val(4, 5, 2) == 6
-    # chain definition, spelled out
-    assert h_val(4, 6, 3) == f_sum(4, 6) + g_val(4, 6, 3) + g_val(4, 6, 2)
-
-
 def test_g_boundary_identity():
-    # width equal to the order telescopes against the sum recurrence:
-    # g_k(n, k) = f_k(n) - f_k(n-1)
+    # a window as wide as the order telescopes against the sum recurrence:
+    # 1 + f_k(n-2) + ... + f_k(n-k) = f_k(n) - f_k(n-1)
     for k in range(3, 6):
         for n in range(k, k + 8):
-            assert g_val(k, n, k) == f_sum(k, n) - f_sum(k, n - 1)
+            window = 1 + sum(f_sum(k, n - j) for j in range(2, k + 1))
+            assert window == f_sum(k, n) - f_sum(k, n - 1)
 
 
-@given(st.integers(min_value=3, max_value=15), st.integers(min_value=0, max_value=40))
+@given(st.integers(min_value=3, max_value=16), st.integers(min_value=0, max_value=40))
 def test_derived_values_match_definitions(k, extra):
-    # long h chains (large k) and wide g windows against the naive sums
+    # long chains (large k) and wide windows against the naive sums
     n = k + extra
-    assert [g_val(k, n, j) for j in range(2, k + 1)] == [
-        naive_g(k, n, j) for j in range(2, k + 1)
-    ]
-    assert [h_val(k, n, l) for l in range(2, k)] == [naive_h(k, n, l) for l in range(2, k)]
     assert parts_multiset(k, n) == naive_parts(k, n)
 
 
@@ -223,18 +204,6 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         f_sum(2, -2)
     with pytest.raises(ValueError):
-        g_val(3, 5, 1)
-    with pytest.raises(ValueError):
-        g_val(3, 2, 2)
-    with pytest.raises(ValueError):
-        h_val(2, 5, 2)
-    with pytest.raises(ValueError):
-        h_val(3, 5, 1)
-    with pytest.raises(ValueError):
-        h_val(3, 5, 3)  # the chain would need a g window of width 1
-    with pytest.raises(ValueError):
-        g_val(3, 5, 6)  # the window would reach below index 0
-    with pytest.raises(ValueError):
         parts_multiset(2, 5)
     with pytest.raises(ValueError):
         parts_multiset(4, 3)
@@ -258,3 +227,14 @@ def test_shared_tables_survive_concurrent_use():
         results = list(pool.map(worker, range(16)))
     for seed, row in enumerate(results):
         assert row == [naive_fib(3, 150 + (seed + i) % 40) for i in range(40)]
+
+
+def test_every_exported_name_exists():
+    # a name left in __all__ after its definition is gone breaks star imports
+    modules = [brokenstick] + [
+        importlib.import_module(f"brokenstick.{info.name}")
+        for info in pkgutil.iter_modules(brokenstick.__path__)
+    ]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
