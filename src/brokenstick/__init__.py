@@ -42,7 +42,7 @@ from .montecarlo import (
     estimate,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "fib_table",

@@ -1,24 +1,26 @@
 """Monte Carlo estimation of the polygon probabilities.
 
-A trial breaks the unit stick at n - 1 uniform points and sorts the
-pieces in decreasing order.  The "none" event requires every window of
-k consecutive pieces to fail the polygon inequality (the window's first
-piece at least as large as the sum of the other k - 1; ties fail to
-close, matching the exact formulas).  "forall" requires even the
-hardest selection to close: the largest piece strictly below the sum of
-the k - 1 smallest.  "exists" is the complement of "none" and "ngon" is
-"forall" with k = n: one expression serves both.
+A trial draws n i.i.d. Exp(1) variables sorted decreasing; by Renyi's
+representation they are the sorted pieces of a stick broken at n - 1
+uniform points, times a scale no event depends on.  The "none" event
+requires every window of k consecutive pieces to fail the polygon
+inequality (the window's first piece at least as large as the sum of the
+other k - 1; ties fail to close, matching the exact formulas).  "forall"
+requires even the hardest selection to close: the largest piece strictly
+below the sum of the k - 1 smallest.  "exists" is the complement of
+"none" and "ngon" is "forall" with k = n: one expression serves both.
 
 Reproducibility contract: an estimate is a pure function of
 (mode, k, n, trials, seed, chunks).  Trials are split across ``chunks``
 blocks as evenly as possible, earlier blocks one trial larger when the
-division is not exact.  Block b (0-based) uses its own PCG64 generator
-seeded with
+division is not exact.  Block b (0-based) draws its trials with
+``standard_exponential`` from its own PCG64 generator seeded with
 
     splitmix64((seed + (b + 1) * 0x9E3779B97F4A7C15) mod 2^64)
 
 where splitmix64 is the usual xor-shift finalizer.  Blocks therefore
 never share a stream, and each block can be reproduced in isolation.
+Version 0.1.0 drew uniform cuts.
 
 A block is drawn in slabs of max(1, 2^22 // n) trials, so each float64
 array of a slab, the window array of "none" and "exists" included,
@@ -27,7 +29,7 @@ after another, so hits do not depend on the slab size.
 
 Cost model: a run costs trials * n + 1000 * min(chunks, trials)
 trial-pieces, since only the first min(chunks, trials) blocks are
-non-empty.  A config past 1.5 * 10^8 (about 10 s) or with n > 2^22
+non-empty.  A config past 1.5 * 10^8 (about 5 s) or with n > 2^22
 raises ``ResourceLimitError`` when it is built, before any draw.
 """
 
@@ -60,9 +62,9 @@ MODES = ("none", "exists", "forall", "ngon")
 _SLAB_FLOATS = 1 << 22
 
 # Cost model in trial-pieces (see the module docstring).  On a 2-core
-# host the kernel did 13-15 M trial-pieces/s at n = 3 and 21-38 M/s from
-# n = 50 to n = 2^22, and a block cost 51-61 us, about 1000 trial-pieces
-# at the slowest rate, so _MAX_WORK is about 10 s at n = 3.
+# host the kernel did 29-34 M trial-pieces/s at n = 3 and 45-69 M/s at
+# n = 50, and a block cost 18-21 us, about 600 trial-pieces at the
+# slowest rate, so _MAX_WORK is about 5 s at n = 3 (4.5 s measured).
 _BLOCK_WORK = 1_000
 _MAX_WORK = 150_000_000
 
@@ -145,17 +147,13 @@ def _hit_mask(mode: str, k: int, pieces: np.ndarray) -> np.ndarray:
 def _run_block(mode: str, k: int, n: int, block_trials: int, block_seed: int) -> int:
     rng = np.random.default_rng(block_seed)
     hits = 0
-    left = block_trials
     slab_rows = max(1, _SLAB_FLOATS // n)
-    while left:
-        rows = min(left, slab_rows)
-        cuts = rng.random((rows, n - 1))
-        cuts.sort(axis=1)
-        pieces = np.diff(cuts, axis=1, prepend=0.0, append=1.0)
+    for start in range(0, block_trials, slab_rows):
+        rows = min(slab_rows, block_trials - start)
+        pieces = rng.standard_exponential((rows, n))
         pieces.sort(axis=1)
         pieces = pieces[:, ::-1]
         hits += int(np.count_nonzero(_hit_mask(mode, k, pieces)))
-        left -= rows
     return hits
 
 

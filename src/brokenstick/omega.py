@@ -62,6 +62,7 @@ before it builds the crude form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, overload, Literal
 
 from .probability import ProblemSpec, ResourceLimitError
@@ -93,6 +94,7 @@ class Var(NamedTuple):
     kind: str
     index: int
 
+    @lru_cache(maxsize=1 << 15)  # n < 10^4 by the step bound: about 2 * 10^4 names
     def __str__(self) -> str:
         return f"{self.kind}_{self.index}"
 
