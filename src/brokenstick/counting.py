@@ -4,7 +4,10 @@ Three independent ways to count solutions, used to cross-validate each
 other and the closed forms:
 
 * ``count_constrained``: exhaustive search over ordered integer
-  solutions of the window-inequality system with a given total.
+  solutions of the window-inequality system with a given total.  The
+  one backtracking search behind it counts a whole range of totals in
+  one pass, counting the last slot's admissible values as one run, so
+  ``verify --suite lemma1`` walks each prefix once for all its totals.
 * ``count_restricted`` / ``series_coefficients``: classical coin-style
   partition DP, counting by part sizes (the elimination engine's
   output) instead of by direct search.
@@ -19,6 +22,7 @@ counts back to the continuous probabilities.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, e, factorial, log2, prod
 from typing import Iterable, Literal
 
@@ -37,9 +41,9 @@ __all__ = [
 
 Positivity = Literal["nonneg", "positive"]
 
-# Exhaustive search refuses totals whose estimated node count
-# N^(n-1) / (n! (n-1)!) exceeds this.  N = 40 at n <= 7 and N <= 150 at
-# n <= 4 stay well inside.
+# Exhaustive search refuses a range of totals whose estimated node
+# counts N^(n-1) / (n! (n-1)!), summed over the range, exceed this.  One
+# total N = 40 at n <= 7 and N <= 150 at n <= 4 stays well inside.
 _NODE_CAP = 10_000_000
 # It recurses once per piece, so it refuses n past half of CPython's
 # default recursion limit of 1000, leaving the rest to its callers.
@@ -61,6 +65,55 @@ _MAX_TABLE_TOTAL = 10_000_000
 _HERMITE_MAX_BITS = 1_200_000
 
 
+def _constrained_counts(
+    spec: ProblemSpec, t_min: int, t_max: int, positivity: Positivity
+) -> list[int]:
+    # Counts of the window system's solutions at each total t_min..t_max,
+    # by one backtracking pass: slot pos takes values largest first,
+    # capped by the slot before it, by t_max less the floors still to
+    # come and by every window whose small side holds pos; it is at
+    # least what reaches t_min when each later slot repeats its value.
+    # The last slot's admissible values are one contiguous range, so it
+    # adds a run to a difference array instead of recursing per value.
+    k, n = spec.k, spec.n
+    if n > _MAX_DEPTH:
+        raise ResourceLimitError(
+            f"exhaustive search over n={n} pieces recurses past depth {_MAX_DEPTH}"
+        )
+    denom = factorial(n) * factorial(n - 1)
+    estimate = sum(t ** (n - 1) // denom for t in range(t_min, t_max + 1))
+    if estimate > _NODE_CAP:
+        totals = f"total {t_max}" if t_min == t_max else f"totals {t_min}..{t_max}"
+        raise ResourceLimitError(
+            f"{totals} with n={n} needs about {estimate} search nodes (limit {_NODE_CAP})"
+        )
+    lo = 1 if positivity == "positive" else 0
+    vals = [0] * n
+    # pre[i] is vals[0] + ... + vals[i - 1]
+    pre = [0] * (n + 1)
+    runs = [0] * (t_max - t_min + 2)
+
+    def rec(pos: int, prev: int) -> None:
+        used = pre[pos]
+        slots_after = n - pos - 1
+        hi = min(prev, t_max - used - lo * slots_after)
+        for s in range(max(0, pos - k + 1), min(pos - 1, n - k) + 1):
+            hi = min(hi, vals[s] - (used - pre[s + 1]) - lo * (s + k - 1 - pos))
+        lo_here = max(lo, -((used - t_min) // (slots_after + 1)))
+        if slots_after == 0:
+            if lo_here <= hi:
+                runs[used + lo_here - t_min] += 1
+                runs[used + hi + 1 - t_min] -= 1
+            return
+        for v in range(hi, lo_here - 1, -1):
+            vals[pos] = v
+            pre[pos + 1] = used + v
+            rec(pos + 1, v)
+
+    rec(0, t_max)
+    return list(accumulate(runs[:-1]))
+
+
 def count_constrained(
     spec: ProblemSpec,
     n_value: int,
@@ -70,9 +123,12 @@ def count_constrained(
 
     Vectors (a_1 >= a_2 >= ... >= a_n) with every a_i >= 0 (or >= 1 for
     ``positivity="positive"``), total exactly ``n_value``, and every
-    window inequality a_i >= a_{i+1} + ... + a_{i+k-1}.  Plain
-    backtracking over each slot's candidate values, largest first, with
-    remaining-total and window pruning.
+    window inequality a_i >= a_{i+1} + ... + a_{i+k-1}.  One
+    backtracking search, shared with ``verify --suite lemma1``, which
+    asks it for a whole range of totals in one pass: each slot's
+    candidate values, largest first, with total and window pruning on
+    running prefix sums, and the last slot counted as one run of values
+    rather than one value at a time.
 
     Raises ``ResourceLimitError`` for n > 500, since the search recurses
     once per piece, and when the crude node estimate
@@ -82,37 +138,7 @@ def count_constrained(
         raise ValueError(f"total must be nonnegative, got {n_value}")
     if positivity not in ("nonneg", "positive"):
         raise ValueError(f"positivity must be 'nonneg' or 'positive', got {positivity!r}")
-    k, n = spec.k, spec.n
-    if n > _MAX_DEPTH:
-        raise ResourceLimitError(
-            f"exhaustive search over n={n} pieces recurses past depth {_MAX_DEPTH}"
-        )
-    estimate = n_value ** (n - 1) // (factorial(n) * factorial(n - 1))
-    if estimate > _NODE_CAP:
-        raise ResourceLimitError(
-            f"total {n_value} with n={n} needs about {estimate} search nodes"
-            f" (limit {_NODE_CAP})"
-        )
-    lo = 1 if positivity == "positive" else 0
-    vals = [0] * n
-
-    def rec(pos: int, prev: int, remaining: int) -> int:
-        if pos == n:
-            return 1 if remaining == 0 else 0
-        slots_after = n - pos - 1
-        hi = min(prev, remaining - lo * slots_after)
-        # Every window whose small side contains pos caps its value, given
-        # the values fixed so far and the floor lo for the rest.
-        for s in range(max(0, pos - k + 1), min(pos - 1, n - k) + 1):
-            hi = min(hi, vals[s] - sum(vals[s + 1 : pos]) - lo * (s + k - 1 - pos))
-        lo_here = max(lo, -(-remaining // (slots_after + 1)))
-        total = 0
-        for v in range(hi, lo_here - 1, -1):
-            vals[pos] = v
-            total += rec(pos + 1, v, remaining - v)
-        return total
-
-    return rec(0, n_value, n_value)
+    return _constrained_counts(spec, n_value, n_value, positivity)[0]
 
 
 def _restricted_table(parts: Iterable[int], n_max: int) -> list[int]:

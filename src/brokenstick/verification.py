@@ -13,9 +13,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .counting import (
+    _constrained_counts,
+    _restricted_table,
     asymptotic_ratio,
-    count_constrained,
-    count_restricted,
     hermite_coeff,
     series_coefficients,
 )
@@ -36,12 +36,13 @@ __all__ = [
 ]
 
 
-# suite_lemma1's cost is its exhaustive counts.  count_constrained
-# estimates t^(n-1) / (n! (n-1)!) search nodes at total t, which sum to
-# under (T+1)^n / (n n! (n-1)!) over totals 0..T.  The estimate grows
-# faster in T than the search does; on a 2-core host the default grid
-# took 3.7 s at T = 60 (0.89 M estimated nodes), 9.9 s at 75 (3.6 M) and
-# 15 s at 80 (5.5 M).
+# suite_lemma1's cost is its exhaustive search, one pass over totals
+# 0..T per (k, n).  It estimates t^(n-1) / (n! (n-1)!) nodes at total t,
+# which sum to under (T+1)^n / (n n! (n-1)!) over totals 0..T.  The
+# estimate grows faster in T than the search does; on a 2-core host the
+# default grid took 1.2 s at T = 60 (0.89 M estimated nodes) and 2.8 s
+# at 75 (3.6 M).  The limit sits where a search per total took about
+# 10 s, so that the totals served do not move.
 _LEMMA1_MAX_NODES = 3_700_000
 
 # suite_hermite's cost is its composition DP: about 3 n t^2 / 8 additions
@@ -93,13 +94,12 @@ def suite_lemma1(
         for n in range(k, k + n_extra + 1):
             spec = ProblemSpec(k, n)
             coeffs = series_coefficients(run_elimination(spec), max_total)
-            parts = parts_multiset(k, n)
+            by_parts = _restricted_table(parts_multiset(k, n), max_total)
+            direct = _constrained_counts(spec, 0, max_total, "nonneg")
             bad = None
             for total in range(max_total + 1):
-                direct = count_constrained(spec, total, "nonneg")
-                by_parts = count_restricted(parts, total)
-                if coeffs[total] != direct or by_parts != direct:
-                    bad = (total, coeffs[total], by_parts, direct)
+                if coeffs[total] != direct[total] or by_parts[total] != direct[total]:
+                    bad = (total, coeffs[total], by_parts[total], direct[total])
                     break
             name = f"series/parts/direct counts agree, k={k} n={n} totals 0..{max_total}"
             if bad is None:

@@ -468,10 +468,25 @@ def test_hermite_refuses_bits_past_bound(capsys, monkeypatch):
 
 def test_verify_suites_refuse_totals_past_bound(capsys, monkeypatch):
     # (suite, largest max_total served on its default grid, its limit,
-    # the exhaustive count each check runs, the series route)
-    for suite, served, limit, count, series in (
-        ("lemma1", 75, _LEMMA1_MAX_NODES, "count_constrained", "run_elimination"),
-        ("hermite", 474, _HERMITE_MAX_STEPS, "_composition_count", "hermite_coeff"),
+    # the exhaustive count each check runs, a stub of it answering -1 at
+    # every total, the series route)
+    for suite, served, limit, count, wrong, series in (
+        (
+            "lemma1",
+            75,
+            _LEMMA1_MAX_NODES,
+            "_constrained_counts",
+            lambda spec, t_min, t_max, positivity: [-1] * (t_max - t_min + 1),
+            "run_elimination",
+        ),
+        (
+            "hermite",
+            474,
+            _HERMITE_MAX_STEPS,
+            "_composition_count",
+            lambda *args: -1,
+            "hermite_coeff",
+        ),
     ):
         with monkeypatch.context() as patch:
             patch.setattr(verification, count, _fail)
@@ -481,7 +496,7 @@ def test_verify_suites_refuse_totals_past_bound(capsys, monkeypatch):
             assert (code, out) == (3, ""), suite
             assert f"limit {limit}" in err
         # served at the bound; a count of -1 fails every check at total 0
-        monkeypatch.setattr(verification, count, lambda *args: -1)
+        monkeypatch.setattr(verification, count, wrong)
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-total", str(served))
         assert code == 4, err
 

@@ -71,9 +71,24 @@ def test_constrained_known_values():
 @pytest.mark.parametrize("positivity", ["nonneg", "positive"])
 def test_constrained_matches_naive(k, n, positivity):
     spec = ProblemSpec(k, n)
+    want = [naive_constrained(k, n, total, positivity == "positive") for total in range(13)]
     for total in range(0, 13):
-        want = naive_constrained(k, n, total, positivity == "positive")
-        assert count_constrained(spec, total, positivity) == want, (total,)
+        assert count_constrained(spec, total, positivity) == want[total], (total,)
+    # one search over a range of totals, from zero and from inside
+    assert counting._constrained_counts(spec, 0, 12, positivity) == want
+    assert counting._constrained_counts(spec, 5, 12, positivity) == want[5:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=3, max_value=6), st.integers(min_value=0, max_value=3))
+def test_constrained_range_matches_series(data, k, extra):
+    spec = ProblemSpec(k, k + extra)
+    top = data.draw(st.integers(min_value=0, max_value=20), label="top")
+    counts = counting._constrained_counts(spec, 0, top, "nonneg")
+    assert counts == series_coefficients(run_elimination(spec), top)
+    a = data.draw(st.integers(min_value=0, max_value=top), label="a")
+    b = data.draw(st.integers(min_value=a, max_value=top), label="b")
+    assert counting._constrained_counts(spec, a, b, "nonneg") == counts[a : b + 1]
 
 
 def test_constrained_resource_guard():
@@ -81,6 +96,12 @@ def test_constrained_resource_guard():
         count_constrained(ProblemSpec(3, 3), 10**6)
     # near the documented envelope but inside it
     assert count_constrained(ProblemSpec(3, 4), 150) > 0
+    # a range sums the per-total estimates t^2 / (3! 2!), about 1.4 * 10^7
+    # over totals 0..800, and is refused; any one of those totals is served
+    nodes = sum(t * t // 12 for t in range(801))
+    with pytest.raises(ResourceLimitError, match=rf"totals 0\.\.800 with n=3 needs about {nodes} "):
+        counting._constrained_counts(ProblemSpec(3, 3), 0, 800, "nonneg")
+    assert count_constrained(ProblemSpec(3, 3), 800) > 0
 
 
 def test_constrained_domain_errors():
