@@ -27,7 +27,8 @@ import io
 import json
 import sys
 from dataclasses import asdict
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
+from itertools import accumulate
 from typing import Sequence
 
 from . import ResourceLimitError, __version__
@@ -35,7 +36,7 @@ from .counting import count_constrained, count_restricted, hermite_coeff, series
 from .genfib import fib_table, parts_multiset
 from .montecarlo import DEFAULT_CHUNKS, DEFAULT_SEED, MODES, SimConfig, estimate
 from .omega import run_elimination
-from .probability import ProblemSpec, prob_exists, prob_forall, prob_ngon, prob_none
+from .probability import ProblemSpec, _none_terms, _product, prob_forall, prob_ngon
 from .verification import SUITES, run_suite
 
 __all__ = ["build_parser", "main"]
@@ -70,7 +71,13 @@ _SUITE_FLAGS: dict[str, dict[str, str]] = {
 # measured crossover, where plain str(Decimal(v)) against the split below
 # took 3.4 against 19 us at 1024 bits, 36 against 89 us at 4096, 0.51
 # against 0.66 ms at 16384 and 8.0 against 4.6 ms at 65536 (2-core host).
+# _decimal_product uses the same size for its int leaves.
 _DIRECT_BITS = 1 << 14
+
+# Exact arithmetic on Decimal ints: wide enough for any value, and any
+# rounding raises.  Its methods compute in it without switching the
+# thread's current context.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
 
 
 def _to_decimal(value: int) -> Decimal:
@@ -89,17 +96,28 @@ def _to_decimal(value: int) -> Decimal:
             return Decimal(v)
         half = w >> 1
         if half not in powers:
-            powers[half] = two**half
+            powers[half] = _EXACT.power(two, half)
         hi = v >> half
-        return split(v - (hi << half), half) + split(hi, w - half) * powers[half]
+        return _EXACT.fma(split(hi, w - half), powers[half], split(v - (hi << half), half))
 
-    with localcontext() as ctx:
-        # Wide enough for any value, and any rounding raises.
-        ctx.prec = MAX_PREC
-        ctx.Emax = MAX_EMAX
-        ctx.traps[Inexact] = True
-        result = split(abs(value), value.bit_length())
-        return -result if value < 0 else result
+    result = split(abs(value), value.bit_length())
+    return _EXACT.minus(result) if value < 0 else result
+
+
+def _decimal_product(parts: tuple[int, ...]) -> Decimal:
+    # Exact product of the parts by a balanced tree multiplied in
+    # libmpdec, whose transform multiplication beats CPython's Karatsuba
+    # on large operands.  A run of parts totalling at most _DIRECT_BITS
+    # bits is one leaf: their int product, converted by _to_decimal.
+    ends = list(accumulate((p.bit_length() for p in parts), initial=0))
+
+    def tree(lo: int, hi: int) -> Decimal:
+        if hi - lo == 1 or ends[hi] - ends[lo] <= _DIRECT_BITS:
+            return _to_decimal(_product(parts[lo:hi]))
+        mid = (lo + hi) // 2
+        return _EXACT.multiply(tree(lo, mid), tree(mid, hi))
+
+    return tree(0, len(parts))
 
 
 def _digits(value: int) -> str:
@@ -107,7 +125,8 @@ def _digits(value: int) -> str:
     # int-to-str limit (4300 digits by default since Python 3.11).
     # Cost O(M(d) log d) for d digits, with libmpdec's transform
     # multiplication M(d) ~ d log d: about 60 ms for 150k digits and
-    # 0.3 s for 600k on a 2-core host.
+    # 0.3 s for 600k on a 2-core host.  prob none|exists never convert
+    # their denominator: _decimal_product builds it in Decimal.
     return str(_to_decimal(value))
 
 
@@ -170,15 +189,19 @@ def _cmd_prob(event, n, k=None, decimal=None) -> dict:
     if event == "ngon":
         if k not in (None, n):
             raise ValueError("prob ngon uses all n pieces; omit --k or set it to n")
-        value = prob_ngon(n)
+    elif k is None:
+        raise ValueError(f"prob {event} needs --k")
+    if event in ("none", "exists"):
+        # n! over the reduced parts is in lowest terms, and so is
+        # (den - num) / den
+        numerator, parts = _none_terms(ProblemSpec(k, n))
+        num, den = _to_decimal(numerator), _decimal_product(parts)
+        if event == "exists":
+            num = _EXACT.subtract(den, num)
     else:
-        if k is None:
-            raise ValueError(f"prob {event} needs --k")
-        value = {"none": prob_none, "exists": prob_exists, "forall": prob_forall}[event](
-            ProblemSpec(k, n)
-        )
+        value = prob_ngon(n) if event == "ngon" else prob_forall(ProblemSpec(k, n))
+        num, den = _to_decimal(value.numerator), _to_decimal(value.denominator)
     # The fraction string and the quotient share one conversion of each operand.
-    num, den = _to_decimal(value.numerator), _to_decimal(value.denominator)
     result = {"probability": f"{num}/{den}"}
     if decimal is not None:
         result["decimal"] = _decimal_str(num, den, decimal)

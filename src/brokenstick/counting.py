@@ -43,8 +43,10 @@ Positivity = Literal["nonneg", "positive"]
 
 # Exhaustive search refuses a range of totals whose estimated node
 # counts N^(n-1) / (n! (n-1)!), summed over the range, exceed this.  One
-# total N = 40 at n <= 7 and N <= 150 at n <= 4 stays well inside.
-_NODE_CAP = 10_000_000
+# total N = 40 at n <= 7 and N <= 150 at n <= 4 stays well inside.  At
+# k = n = 3 the estimate N^2 / 12 matches the nodes visited, about 2.4 us
+# each on a 2-core host, so the cap sits near 10 s: N = 6928 is served.
+_NODE_CAP = 4_000_000
 # It recurses once per piece, so it refuses n past half of CPython's
 # default recursion limit of 1000, leaving the rest to its callers.
 _MAX_DEPTH = 500

@@ -12,31 +12,40 @@ the others is flat and does not count as a polygon.  All results are
 ``fractions.Fraction`` values in lowest terms.
 
 Cost of ``prob_none`` (and ``prob_exists``): the denominator has about
-0.1-0.15 n^2 decimal digits (0.15 for large k).  A balanced product
-tree multiplies it out in O(M(d) log n) for d digits and Karatsuba's
-M(d) ~ d^1.585, and the gcd with n! costs O(d n log n).  On a 2-core
-host: (50, 2000) 0.7 s, (50, 4000) 6.4 s, 8-10 s with the CLI's
-decimal rendering.  A denominator that may exceed 8 * 10^6 bits, its
-size at n = 4000, raises ``ResourceLimitError`` before any part is
-built: every n <= 4000 is served and larger n only for k near n.
+0.1-0.15 n^2 decimal digits (0.15 for large k).  Each of the n parts
+first gives up its gcd with what is left of n!, an int of at most
+n log2 n bits, which leaves the fraction in lowest terms with no gcd of
+the whole product; a balanced product tree then multiplies the reduced
+parts in O(M(d) log n) for d digits and Karatsuba's M(d) ~ d^1.585.  On
+a 2-core host: (50, 2000) 0.55 s and (50, 4000) 4.9 s, of which the
+gcds take 0.35 s; the CLI multiplies the same reduced parts in libmpdec
+and answers (50, 4000) in 1.5 s.  A denominator that may exceed
+8 * 10^6 bits, its size at n = 4000, raises ``ResourceLimitError``
+before any part is built: every n <= 4000 is served and larger n only
+for k near n.
 
-Cost of ``prob_forall``: with m = n - k + 2 terms, each term builds a
-binomial of about m bits (about m^1.5 for CPython's ``comb``) and adds a
-fraction whose denominator has d ~ k log2(k m) bits to a running sum
-whose denominator grows to under k m bits.  That is about
-m^2.5 + m d (k m + d) / 625 steps of 1.25 ns on a 2-core host, within
-45% of 24 timings from 0.03 s to 172 s, among them (3, 6000) 3.5 s,
-(3, 9000) 9.9 s, (50, 5000) 6.1 s, (100, 2000) 1.4 s, (600, 1400)
-8.2 s, (1000, 2000) 33 s and (50000, 50000) 2.4 s.  Past 8 * 10^9 steps
-(10 s) it raises ``ResourceLimitError`` before the first term: for
-k = 3 every n <= 9167 is served.
+Cost of ``prob_forall``: with m = n - k + 2 terms, each term takes its
+binomial, of about m bits, from the one before and its denominator, of
+up to d ~ k log2(k m) bits, from a balanced product.  A balanced tree
+sums the terms over the lcm of their denominators, so each gcd and
+product pairs operands of similar size and one ``Fraction`` is built at
+the end.  That is about m d ((k + 24) m + (b - 1) d) steps, for b the
+bit length of m, at about 2.7 * 10^12 steps/s on a 2-core host.  Of 34
+timings from 1 s to 28 s it predicted 0.76-1.45 times the measured
+time, among them (3, 80000) 3.8 s, (50, 10000) 2.8 s, (100, 4000)
+1.8 s, (300, 3000) 6.0 s, (1000, 2500) 18.7 s, (3000, 3500) 23.8 s and
+(200000, 200000) 12.3 s; below 1 s, down to 0.48 times.  Past
+2.5 * 10^13 steps (about 10 s) it raises ``ResourceLimitError`` before
+the first term; the largest requests served took 6.4-10.7 s.  For k = 3
+every n <= 127437 is served, for k = 1000 every n <= 2018.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt, prod
+from math import factorial, gcd, prod
+from typing import Iterator, Sequence
 
 from .genfib import parts_multiset
 
@@ -51,7 +60,7 @@ __all__ = [
 
 # See the cost models in the module docstring.
 _PROB_NONE_MAX_BITS = 8_000_000
-_PROB_FORALL_MAX_STEPS = 8_000_000_000
+_PROB_FORALL_MAX_STEPS = 25_000_000_000_000
 
 
 class ResourceLimitError(RuntimeError):
@@ -78,7 +87,7 @@ class ProblemSpec:
             )
 
 
-def _product(values: tuple[int, ...]) -> int:
+def _product(values: Sequence[int]) -> int:
     # Balanced product tree: each multiplication pairs operands of
     # similar size, which CPython's Karatsuba multiplies in
     # O(d^1.585) digit operations; a one-by-one product multiplies the
@@ -89,12 +98,55 @@ def _product(values: tuple[int, ...]) -> int:
     return _product(values[:mid]) * _product(values[mid:])
 
 
+def _fraction_sum(terms: Iterator[tuple[int, int]], count: int) -> tuple[int, int]:
+    # The sum of the next `count` terms a/q as (numerator, lcm of the q),
+    # by a balanced tree: each gcd and product pairs operands of similar
+    # size, where adding terms one by one reduces against the growing
+    # total every time.  Leaves are read in order, so terms can be a
+    # generator and only O(log count) partial sums are alive at once.
+    if count == 1:
+        return next(terms)
+    half = count // 2
+    a, p = _fraction_sum(terms, half)
+    b, q = _fraction_sum(terms, count - half)
+    g = gcd(p, q)
+    return a * (q // g) + b * (p // g), p // g * q
+
+
 def _none_denominator_bits(k: int, n: int) -> int:
     # Upper bound on log2 of the prob_none denominator: its n - k + 3
     # running sums start at 1 and at most double at each step, and each
     # of its k - 3 chain values is at most k times the largest sum.
     m = n - k + 2
     return m * (m + 1) // 2 + (k - 3) * (m + k.bit_length())
+
+
+def _none_terms(spec: ProblemSpec) -> tuple[int, tuple[int, ...]]:
+    # prob_none as n! / prod(parts) in lowest terms, without the gcd of n!
+    # with the whole product: each part gives up its gcd with what is
+    # left of n!.  For each prime one side of that pair then holds none
+    # of it, and the numerator only shrinks, so every reduced part is
+    # coprime to the final numerator and so is their product.
+    bits = _none_denominator_bits(spec.k, spec.n)
+    if bits > _PROB_NONE_MAX_BITS:
+        raise ResourceLimitError(
+            f"the no-polygon probability at k={spec.k}, n={spec.n} has a denominator"
+            f" of up to {bits} bits (limit {_PROB_NONE_MAX_BITS})"
+        )
+    num = factorial(spec.n)
+    parts = []
+    for part in parts_multiset(spec.k, spec.n):
+        common = gcd(num, part)
+        num //= common
+        parts.append(part // common)
+    return num, tuple(parts)
+
+
+def _forall_steps(k: int, m: int) -> int:
+    # prob_forall's cost model for m terms whose denominators have up to
+    # d bits; see the module docstring.
+    d = k * (k * m).bit_length()
+    return m * d * ((k + 24) * m + (m.bit_length() - 1) * d)
 
 
 def prob_none(spec: ProblemSpec) -> Fraction:
@@ -105,13 +157,8 @@ def prob_none(spec: ProblemSpec) -> Fraction:
 
     Past the module docstring's cost bound raises ``ResourceLimitError``.
     """
-    bits = _none_denominator_bits(spec.k, spec.n)
-    if bits > _PROB_NONE_MAX_BITS:
-        raise ResourceLimitError(
-            f"the no-polygon probability at k={spec.k}, n={spec.n} has a denominator"
-            f" of up to {bits} bits (limit {_PROB_NONE_MAX_BITS})"
-        )
-    return Fraction(factorial(spec.n), _product(parts_multiset(spec.k, spec.n)))
+    num, parts = _none_terms(spec)
+    return Fraction(num, _product(parts))
 
 
 def prob_exists(spec: ProblemSpec) -> Fraction:
@@ -138,21 +185,22 @@ def prob_forall(spec: ProblemSpec) -> Fraction:
     """
     k, n = spec.k, spec.n
     m = n - k + 2
-    d = k * (k * m).bit_length()
-    steps = m * m * isqrt(m) + m * d * (k * m + d) // 625
+    steps = _forall_steps(k, m)
     if steps > _PROB_FORALL_MAX_STEPS:
         raise ResourceLimitError(
             f"the all-polygon probability at k={k}, n={n} costs about {steps} steps"
             f" (limit {_PROB_FORALL_MAX_STEPS})"
         )
-    total = sum(
-        Fraction(
-            (-1) ** (j + 1) * comb(m - 1, j - 1),
-            prod(m + i * j for i in range(1, k - 1)),
-        )
-        for j in range(1, m + 1)
-    )
-    return prod(range(n - k + 3, n + 1)) * total
+
+    def terms() -> Iterator[tuple[int, int]]:
+        binom = 1  # C(m-1, j-1), and C(m-1, j) = C(m-1, j-1) (m - j) / j
+        for j in range(1, m + 1):
+            # prod_{i=1}^{k-2} (m + i j)
+            yield (binom if j % 2 else -binom), _product(range(m + j, m + (k - 1) * j, j))
+            binom = binom * (m - j) // j
+
+    total, common = _fraction_sum(terms(), m)
+    return Fraction(_product(range(n - k + 3, n + 1)) * total, common)
 
 
 def prob_ngon(n: int) -> Fraction:

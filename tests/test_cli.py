@@ -1,6 +1,7 @@
 """Command-line behavior: payloads, formats, and exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from math import floor, log10, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brokenstick
 from brokenstick import (
@@ -36,6 +38,7 @@ from brokenstick.cli import (
     _DECIMAL_MAX_DIGITS,
     _DIRECT_BITS,
     _FIB_MAX_UPTO,
+    _decimal_product,
     _decimal_str,
     _digits,
     _to_decimal,
@@ -48,6 +51,7 @@ from brokenstick.omega import _OMEGA_MAX_STEPS, _OMEGA_MAX_TRACE_BYTES, _omega_c
 from brokenstick.probability import (
     _PROB_FORALL_MAX_STEPS,
     _PROB_NONE_MAX_BITS,
+    _forall_steps,
     _none_denominator_bits,
 )
 from brokenstick.verification import _HERMITE_MAX_STEPS, _LEMMA1_MAX_NODES
@@ -125,6 +129,57 @@ def test_prob_decimal_digits(capsys):
     args = ("prob", "exists", "--k", "25", "--n", "250")
     exact = run_json(capsys, *args)["result"]["probability"]
     assert run_json(capsys, *args, "--decimal", "30")["result"]["probability"] == exact
+
+
+# sha256 of the stdout of prob at its scaling points, VERSION standing for
+# the package version, recorded from the term-by-term forall sum and the
+# uncancelled none fraction: the exact output stays the same byte for byte.
+SCALING_STDOUT = {
+    "prob none --k 100 --n 1000":
+        "7daf7642c98a2663ba6343f4d5fb663bfafada74b3bc3d58587fce5e6c33770d",
+    "prob none --k 50 --n 500 --decimal 30":
+        "3af58eb0066c8a021bd441ee7966d27bd968734f997302ba6b9822dcc8358cf7",
+    "prob exists --k 25 --n 250":
+        "e464747993dedb3d3cb9105cbc2f6f0f05eb0cf0bf682d994bfebdf6273f54ef",
+    "prob forall --k 20 --n 400 --decimal 6":
+        "56f010bd110e6b90c48059bb543960dad09a51fbb2963b730f824451000966ea",
+    "prob forall --k 3 --n 2000":
+        "752629eb8a64780af06b5ea5a13ca5bd14bffa9e6dbb8f8dc016f2726bdc2745",
+}
+
+
+def test_prob_stdout_at_scaling_points(capsys):
+    for argv, digest in SCALING_STDOUT.items():
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, ""), argv
+        out = out.replace(__version__, "VERSION")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def check_decimal_product(parts):
+    assert str(_decimal_product(parts)) == _digits(prod(parts)), len(parts)
+
+
+def test_decimal_product_matches_int_product():
+    for k in range(3, 41):
+        for n in range(k, k + 61):
+            check_decimal_product(probability._none_terms(ProblemSpec(k, n))[1])
+    # one leaf, a tree of leaves, and parts past a leaf's size on their own
+    rng = random.Random(5)
+    for sizes in (
+        [1] * 5,
+        [_DIRECT_BITS] * 3,
+        [_DIRECT_BITS + 1, 5, 3 * _DIRECT_BITS],
+        [700] * 100,
+        [1, 70_000],
+    ):
+        check_decimal_product(tuple(rng.getrandbits(b) | 1 << (b - 1) for b in sizes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=3, max_value=300), st.integers(min_value=0, max_value=700))
+def test_decimal_product_property(k, extra):
+    check_decimal_product(probability._none_terms(ProblemSpec(k, k + extra))[1])
 
 
 def test_prob_ngon_needs_no_k(capsys):
@@ -303,11 +358,14 @@ def test_decimals_below_the_default_exponent_limit(capsys, monkeypatch):
     want = rounded_by_ints(value, 6)
     assert want == "3.33333E-1000001"
     assert _decimal_str(Decimal(1), Decimal("3E1000000"), 6) == want
-    value = prob_none(ProblemSpec(3, 3200))
+    spec = ProblemSpec(3, 3200)
+    value = prob_none(spec)
     want = rounded_by_ints(value, 6)
     assert want == "2.12350E-1060741"
-    # the request reuses the value computed above instead of a second prob_none
-    monkeypatch.setattr(cli, "prob_none", {ProblemSpec(3, 3200): value}.__getitem__)
+    # the request reuses the value computed above, as one part, instead of
+    # computing it a second time
+    terms = {spec: (value.numerator, (value.denominator,))}
+    monkeypatch.setattr(cli, "_none_terms", terms.__getitem__)
     record = run_json(capsys, "prob", "none", "--k", "3", "--n", "3200", "--decimal", "6")
     assert record["result"]["decimal"] == want
 
@@ -316,7 +374,7 @@ def test_prob_decimal_checked_before_any_work(capsys, monkeypatch):
     def never(spec):
         raise AssertionError("the probability was computed")
 
-    monkeypatch.setattr(cli, "prob_none", never)
+    monkeypatch.setattr(cli, "_none_terms", never)
     for digits, error in ((0, "at least 1"), (_DECIMAL_MAX_DIGITS + 1, "limit")):
         code, out, err = run_cli(
             capsys, "prob", "none", "--k", "50", "--n", "4000", "--decimal", str(digits)
@@ -443,14 +501,16 @@ def _fail(*args):
 
 
 def test_prob_forall_refuses_work_past_bound(capsys, monkeypatch):
-    # (k, largest n served): 9166 terms at k = 3, only 247 at k = 2000
-    for k, n in ((3, 9167), (2000, 2245)):
-        monkeypatch.setattr(probability, "comb", _fail)
+    # (k, largest n served): 127436 terms at k = 3, only 482 at k = 2000
+    for k, n in ((3, 127437), (2000, 2480)):
+        m = n - k + 2
+        assert _forall_steps(k, m) <= _PROB_FORALL_MAX_STEPS < _forall_steps(k, m + 1)
+        monkeypatch.setattr(probability, "_fraction_sum", _fail)
         code, out, err = run_cli(capsys, "prob", "forall", "--k", str(k), "--n", str(n + 1))
         assert (code, out) == (3, ""), (k, n)
         assert f"limit {_PROB_FORALL_MAX_STEPS}" in err
-        # served at the bound; with every binomial 0 the sum is 0
-        monkeypatch.setattr(probability, "comb", lambda *args: 0)
+        # served at the bound; with the sum stubbed to 0 the result is 0
+        monkeypatch.setattr(probability, "_fraction_sum", lambda terms, count: (0, 1))
         assert prob_forall(ProblemSpec(k, n)) == 0
 
 

@@ -104,6 +104,20 @@ def test_constrained_resource_guard():
     assert count_constrained(ProblemSpec(3, 3), 800) > 0
 
 
+def test_node_cap_boundary():
+    # one total on each side of the cap: the estimate N^(n-1) / (n! (n-1)!)
+    # passes it at N = 6929 for n = 3 and at N = 121 for n = 10, whose
+    # last served total takes about 1 s and agrees with the series route
+    cap = counting._NODE_CAP
+    refused = ((ProblemSpec(3, 3), 6929, 4000920), (ProblemSpec(5, 10), 121, 4222233))
+    for spec, total, nodes in refused:
+        message = rf"total {total} with n={spec.n} needs about {nodes} search nodes \(limit {cap}\)"
+        with pytest.raises(ResourceLimitError, match=message):
+            count_constrained(spec, total)
+    spec = ProblemSpec(5, 10)
+    assert count_constrained(spec, 120) == series_coefficients(run_elimination(spec), 120)[120]
+
+
 def test_constrained_domain_errors():
     with pytest.raises(ValueError):
         count_constrained(ProblemSpec(3, 3), -1)

@@ -1,9 +1,10 @@
 """Exact probability formulas: known values, identities, and cross-forms."""
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brokenstick import (
     ProblemSpec,
@@ -46,12 +47,27 @@ def test_none_known_values():
     assert prob_none(ProblemSpec(5, 6)) == Fraction(1, 16)
 
 
+def check_none_terms(k, n):
+    # n! over the plain product of the parts, by the cancelled terms and
+    # by the product tree; the cancelled terms are already in lowest terms
+    want = Fraction(factorial(n), prod(parts_multiset(k, n)))
+    num, parts = probability._none_terms(ProblemSpec(k, n))
+    assert len(parts) == n
+    assert all(gcd(num, part) == 1 for part in parts), (k, n)
+    assert (num, prod(parts)) == (want.numerator, want.denominator), (k, n)
+    assert prob_none(ProblemSpec(k, n)) == want, (k, n)
+
+
 def test_none_matches_plain_product():
-    # the product tree must give the one-by-one product exactly
     for k in range(3, 41):
         for n in range(k, k + 61):
-            want = Fraction(factorial(n), prod(parts_multiset(k, n)))
-            assert prob_none(ProblemSpec(k, n)) == want, (k, n)
+            check_none_terms(k, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=3, max_value=300), st.integers(min_value=0, max_value=400))
+def test_none_terms_property(k, extra):
+    check_none_terms(k, k + extra)
 
 
 def test_forall_known_values():
@@ -90,8 +106,27 @@ def test_forall_and_ngon_match_renyi_partial_fractions():
     for k in range(3, 9):
         for n in range(k, k + 12):
             assert prob_forall(ProblemSpec(k, n)) == renyi_forall(k, n), (k, n)
+    for k, n in ((3, 2000), (50, 300)):
+        assert prob_forall(ProblemSpec(k, n)) == renyi_forall(k, n), (k, n)
     for n in range(3, 15):
         assert prob_ngon(n) == renyi_forall(n, n), n
+
+
+def forall_by_terms(k, n):
+    # The alternating sum of prob_forall's docstring added as one Fraction
+    # per term, each binomial from comb.
+    m = n - k + 2
+    total = sum(
+        Fraction((-1) ** (j + 1) * comb(m - 1, j - 1), prod(m + i * j for i in range(1, k - 1)))
+        for j in range(1, m + 1)
+    )
+    return prod(range(n - k + 3, n + 1)) * total
+
+
+def test_forall_matches_term_by_term_sum():
+    for k in range(3, 31):
+        for n in range(k, k + 41):
+            assert prob_forall(ProblemSpec(k, n)) == forall_by_terms(k, n), (k, n)
 
 
 def test_triangle_closed_forms():
