@@ -132,6 +132,8 @@ def _digits(value: int) -> str:
 
 def _encode(value):
     """Result-payload encoding: exact ints become decimal strings."""
+    if isinstance(value, str):  # most of an omega trace
+        return value
     if isinstance(value, bool):
         return value
     if isinstance(value, int):

@@ -41,11 +41,9 @@ __all__ = [
 
 Positivity = Literal["nonneg", "positive"]
 
-# Exhaustive search refuses a range of totals whose estimated node
-# counts N^(n-1) / (n! (n-1)!), summed over the range, exceed this.  One
-# total N = 40 at n <= 7 and N <= 150 at n <= 4 stays well inside.  At
-# k = n = 3 the estimate N^2 / 12 matches the nodes visited, about 2.4 us
-# each on a 2-core host, so the cap sits near 10 s: N = 6928 is served.
+# Exhaustive search refuses a range of totals whose estimated search
+# nodes exceed this; see _search_nodes.  A node took 2.4-3.6 us on a
+# 2-core host, so the cap sits near 10 s.
 _NODE_CAP = 4_000_000
 # It recurses once per piece, so it refuses n past half of CPython's
 # default recursion limit of 1000, leaving the rest to its callers.
@@ -67,6 +65,36 @@ _MAX_TABLE_TOTAL = 10_000_000
 _HERMITE_MAX_BITS = 1_200_000
 
 
+def _search_nodes(spec: ProblemSpec, t_min: int, t_max: int) -> int:
+    # Search nodes that _constrained_counts visits for totals t_min..t_max,
+    # estimated as the larger of two counts.  The first puts 2n - k - 1
+    # nodes on each solution: its leaf has n - 1 ancestors, and the
+    # windows add dead ends that the bound on the remaining total does
+    # not see.  From (3, 3) to (12, 12) and (3, 40), totals up to 3000,
+    # the nodes visited were 0.3-1.2 times that count.  The solutions come
+    # from the coin DP over parts_multiset(k, n), stopped once past the
+    # cap.  The second, the leading term t^(n-1) / (n! (n-1)!) of the
+    # partitions of t into n parts, was the estimate alone before; it
+    # undercounted the nodes 8-fold at (12, 12, 95), 43-fold at (3, 20,
+    # 130) and 1750-fold at (3, 20, 100), and it is kept so that no total
+    # it refused is served now.
+    k, n = spec.k, spec.n
+    denom = factorial(n) * factorial(n - 1)
+    partitions = sum(t ** (n - 1) // denom for t in range(t_min, t_max + 1))
+    if partitions > _NODE_CAP:
+        return partitions
+    per_solution = 2 * n - k - 1
+    ways = [1] + [0] * t_max
+    nodes = per_solution * sum(ways[t_min:])
+    for p in sorted(parts_multiset(k, n)):
+        if p > t_max or nodes > _NODE_CAP:
+            break
+        for s in range(p, t_max + 1):
+            ways[s] += ways[s - p]
+        nodes = per_solution * sum(ways[t_min:])
+    return max(partitions, nodes)
+
+
 def _constrained_counts(
     spec: ProblemSpec, t_min: int, t_max: int, positivity: Positivity
 ) -> list[int]:
@@ -82,8 +110,7 @@ def _constrained_counts(
         raise ResourceLimitError(
             f"exhaustive search over n={n} pieces recurses past depth {_MAX_DEPTH}"
         )
-    denom = factorial(n) * factorial(n - 1)
-    estimate = sum(t ** (n - 1) // denom for t in range(t_min, t_max + 1))
+    estimate = _search_nodes(spec, t_min, t_max)
     if estimate > _NODE_CAP:
         totals = f"total {t_max}" if t_min == t_max else f"totals {t_min}..{t_max}"
         raise ResourceLimitError(
@@ -133,8 +160,10 @@ def count_constrained(
     rather than one value at a time.
 
     Raises ``ResourceLimitError`` for n > 500, since the search recurses
-    once per piece, and when the crude node estimate
-    n_value^(n-1) / (n! (n-1)!) exceeds ten million.
+    once per piece, and when it would visit more than 4 * 10^6 nodes
+    (about 10 s) by the estimate: the larger of the partition count
+    n_value^(n-1) / (n! (n-1)!) and 2n - k - 1 nodes per solution, the
+    solutions counted by the partition DP over ``parts_multiset``.
     """
     if n_value < 0:
         raise ValueError(f"total must be nonnegative, got {n_value}")

@@ -45,23 +45,37 @@ of ``genfib.parts_multiset``, which is what makes the closed
 probability formulas work.
 
 ``run_elimination`` rewrites one list of factors in place, one pass per
-marker over its carriers.  Each of the n - k + 1 window markers
-rewrites k - 1 factors of up to k entries.  The bound still counts
-n^2 + (n - k + 1) k^2 steps, the cost when every pass scanned all n
-factors, so it is conservative, most of all for small k: on a 2-core
-host (30, 300) takes 17 ms, (50, 2000) 0.23 s, (200, 2000) 2.0 s,
-and at the bound (3, 9995) 0.11 s and (300, 1380) 2.5 s.  The trace
-keeps every rewritten factor, about 24 bytes per unit of
-(n - k + 1) k^2 for markers plus k n^2 bytes for q exponents; this
-matched peak RSS within 10 % from (10, 4000) 166 MiB to (200, 600)
-452 MiB.  Past 10^8 steps, or with ``trace=True`` past
-1 GiB of trace, ``run_elimination`` raises ``ResourceLimitError``
-before it builds the crude form.
+marker over its carriers.  A factor keeps its markers in ``Var`` order,
+which is also elimination order, so the marker being eliminated is the
+first entry of each factor that carries it.  In every crude form built
+here the +1 factor carries that marker alone, so each -1 factor only
+drops its first entry and gains the +1 factor's q exponent; any other
+shape takes the generic merge, with every check above.  A traced run
+also carries each factor's rendered marker text, cutting the eliminated
+marker's name off the text of the factor it replaces; an untraced run
+renders no text.
+
+The n - k + 1 window markers merge k - 1 factors each and the k - 2
+chain markers one, after n factor builds.  The q exponents reach n
+bits, and ``omega`` prints each in decimal at a cost quadratic in its
+size: the n final exponents, and with a trace also the exponent of each
+of the (n - k + 1) k + 2 (k - 2) factors the steps produce.  So the
+bound counts merges + n + (exponents printed) n^2 / 10^6 steps.  On a
+2-core host (50, 2000) takes 0.07-0.10 s in process and (200, 2000)
+0.25-0.36 s; at the bound, ``omega`` takes 4.4 s at (3, 17041), 8.7 s
+at (10, 16904), 7.9 s at (2000, 4452) and 10.5 s at (5000, 5954).  A
+trace keeps about 460 bytes per produced factor plus 2n/3 for its q
+exponent, and 46 bytes per marker entry of a produced factor, summed in
+closed form.  At the bounds, traces took 2.8 s and 255 MiB at (3, 10749),
+5.4 s and 641 MiB at (30, 5393), 5.0 s and 948 MiB at (100, 2539) and
+3.4 s and 960 MiB at (300, 839).  Past 5 * 10^6 steps, or with ``trace=True`` past 1 GiB of
+trace, ``run_elimination`` raises ``ResourceLimitError`` before it
+builds the crude form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, overload, Literal
 
@@ -84,17 +98,24 @@ LAMBDA = "lambda"
 MU = "mu"
 
 # Cost bounds of run_elimination; see the module docstring.
-_OMEGA_MAX_STEPS = 10**8
+_OMEGA_MAX_STEPS = 5_000_000
 _OMEGA_MAX_TRACE_BYTES = 1 << 30
 
 
 class Var(NamedTuple):
-    """Marker variable: (kind, index) with kind "lambda" or "mu"."""
+    """Marker variable: (kind, index) with kind "lambda" or "mu".
+
+    Every lambda sorts before every mu, so ``Var`` order is also the
+    order of ``elimination_order``.
+    """
 
     kind: str
     index: int
 
-    @lru_cache(maxsize=1 << 15)  # n < 10^4 by the step bound: about 2 * 10^4 names
+    # A traced run renders each marker name once per crude factor that
+    # carries it.  The trace bound keeps n <= 10749, so lambda_j and mu_j
+    # for j < n are fewer than 2^15 names.
+    @lru_cache(maxsize=1 << 15)
     def __str__(self) -> str:
         return f"{self.kind}_{self.index}"
 
@@ -103,49 +124,73 @@ class ShapeError(ValueError):
     """Marker usage outside the supported +-1 exponent fragment."""
 
 
-def _format_monomial(q_exp: int, powers: dict[Var, int]) -> str:
+# A monomial's marker text: the numerator markers joined by "*", the
+# denominator markers joined by "*", and the denominator's length.
+_Text = tuple[str, str, int]
+
+
+def _marker_text(markers: tuple[tuple[Var, int], ...]) -> _Text:
     num = []
-    if q_exp == 1:
-        num.append("q")
-    elif q_exp != 0:
-        num.append(f"q^{q_exp}")
     den = []
-    for var in sorted(powers):
-        e = powers[var]
-        part = str(var) if abs(e) == 1 else f"{var}^{abs(e)}"
+    for var, e in markers:
+        part = str(var) if e in (1, -1) else f"{var}^{abs(e)}"
         (num if e > 0 else den).append(part)
-    text = "*".join(num) if num else "1"
-    if den:
-        dtext = "*".join(den)
-        if len(den) > 1:
-            dtext = f"({dtext})"
-        text = f"{text}/{dtext}"
-    return text
+    return "*".join(num), "*".join(den), len(den)
 
 
-@dataclass(frozen=True)
+def _format_monomial(q_exp: int, text: _Text) -> str:
+    num, den, den_count = text
+    head = "" if q_exp == 0 else "q" if q_exp == 1 else f"q^{q_exp}"
+    out = f"{head}*{num}" if head and num else head or num or "1"
+    if den_count > 1:
+        return f"{out}/({den})"
+    return f"{out}/{den}" if den_count else out
+
+
 class CrudeFactor:
-    """One factor 1/(1 - q^q_exp * monomial); zero exponents are not stored."""
+    """One factor 1/(1 - q^q_exp * monomial).
 
-    q_exp: int
-    powers: dict[Var, int] = field(default_factory=dict)
+    ``markers`` holds the monomial's (marker, exponent) pairs in ``Var``
+    order, which is also elimination order, so the marker eliminated
+    next is the first entry of every factor that carries it; zero
+    exponents are not stored.  Built from a dict of powers, as in
+    ``CrudeFactor(2, {Var("lambda", 1): -1})``; ``powers`` gives the
+    dict back.  Factors compare by q exponent and markers; treat them
+    as immutable.
+    """
 
-    def __post_init__(self) -> None:
-        if self.q_exp < 0:
-            raise ValueError(f"q exponent must be nonnegative, got {self.q_exp}")
-        if any(e == 0 for e in self.powers.values()):
+    # The markers are _base[_start:]: elimination drops a factor's first
+    # marker by sharing its tuple at the next offset, so a rewrite costs
+    # the same whatever the factor's length.
+    __slots__ = ("q_exp", "_base", "_start", "_text")
+
+    def __init__(self, q_exp: int, powers: dict[Var, int] | None = None) -> None:
+        if q_exp < 0:
+            raise ValueError(f"q exponent must be nonnegative, got {q_exp}")
+        markers = tuple(sorted((powers or {}).items()))
+        if any(e == 0 for _, e in markers):
             raise ValueError("zero marker exponents must be dropped, not stored")
+        self.q_exp = q_exp
+        self._base = markers
+        self._start = 0
+        self._text: _Text | None = None
+
+    @property
+    def markers(self) -> tuple[tuple[Var, int], ...]:
+        return self._base[self._start :] if self._start else self._base
+
+    @property
+    def powers(self) -> dict[Var, int]:
+        return dict(self.markers)
 
     def without(self, var: Var) -> "CrudeFactor":
         """Copy with var removed from the monomial."""
-        return CrudeFactor(
-            self.q_exp, {v: e for v, e in self.powers.items() if v != var}
-        )
+        return _factor(self.q_exp, tuple(m for m in self.markers if m[0] != var))
 
     def merged_with(self, other: "CrudeFactor") -> "CrudeFactor":
         """Factor whose monomial is the product of the two monomials."""
-        powers = dict(self.powers)
-        for v, e in other.powers.items():
+        powers = self.powers
+        for v, e in other.markers:
             tot = powers.get(v, 0) + e
             if tot:
                 powers[v] = tot
@@ -153,12 +198,40 @@ class CrudeFactor:
                 powers.pop(v)
         return CrudeFactor(self.q_exp + other.q_exp, powers)
 
+    def _marks(self) -> _Text:
+        # The marker text, rendered on first use unless a traced
+        # elimination carried it over from the factor this one replaced.
+        if self._text is None:
+            self._text = _marker_text(self.markers)
+        return self._text
+
     def monomial(self) -> str:
         """Readable rendering such as 'q^2*mu_5/(lambda_2*lambda_3)'."""
-        return _format_monomial(self.q_exp, self.powers)
+        return _format_monomial(self.q_exp, self._marks())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CrudeFactor):
+            return NotImplemented
+        return self.q_exp == other.q_exp and self.markers == other.markers
 
     def __repr__(self) -> str:
         return f"CrudeFactor({self.monomial()})"
+
+
+def _factor(
+    q_exp: int,
+    base: tuple[tuple[Var, int], ...],
+    start: int = 0,
+    text: _Text | None = None,
+) -> CrudeFactor:
+    # The factor with markers base[start:], which must be in Var order
+    # with no zero exponent: the constructor's sort and checks are skipped.
+    fac = object.__new__(CrudeFactor)
+    fac.q_exp = q_exp
+    fac._base = base
+    fac._start = start
+    fac._text = text
+    return fac
 
 
 @dataclass(frozen=True)
@@ -203,13 +276,15 @@ def build_crude(spec: ProblemSpec) -> tuple[CrudeFactor, ...]:
     piece of the small side (see ``_carriers``), and every factor
     carries q^1 since each piece adds its size to the total.
     """
-    powers: list[dict[Var, int]] = [{} for _ in range(spec.n)]
+    markers: list[list[tuple[Var, int]]] = [[] for _ in range(spec.n)]
+    # Markers come in Var order, so each factor's list stays sorted.
     for var in elimination_order(spec):
         large, *small = _carriers(var, spec.k)
-        powers[large][var] = 1
+        markers[large].append((var, 1))
+        minus = (var, -1)
         for pos in small:
-            powers[pos][var] = -1
-    return tuple(CrudeFactor(1, p) for p in powers)
+            markers[pos].append(minus)
+    return tuple(_factor(1, tuple(m)) for m in markers)
 
 
 def elimination_order(spec: ProblemSpec) -> list[Var]:
@@ -229,33 +304,67 @@ def _carriers(var: Var, k: int) -> range:
     return range(var.index - 1, var.index - 1 + (k if var.kind == LAMBDA else 2))
 
 
-def _omega_cost(k: int, n: int) -> tuple[int, int]:
+def _omega_cost(k: int, n: int, trace: bool) -> tuple[int, int]:
     # (steps, bytes a trace keeps), by the cost model of the module docstring.
-    rewritten = (n - k + 1) * k * k
-    return n * n + rewritten, 24 * rewritten + k * n * n
+    windows = n - k + 1
+    merges = windows * (k - 1) + k - 2
+    produced = windows * k + 2 * (k - 2)
+    rendered = n + produced if trace else n
+    steps = merges + n + rendered * n * n // 10**6
+    # marker entries over all produced factors: sum of min(a, b) over
+    # a < k, b < windows
+    m, big = min(k, windows), max(k, windows)
+    entries = m * (m - 1) * (3 * big - m - 1) // 6
+    return steps, 460 * produced + 46 * entries + 2 * produced * n // 3
 
 
 def _eliminate(
-    factors: list[CrudeFactor], var: Var, consumed: tuple[int, ...]
-) -> EliminationStep:
+    factors: list[CrudeFactor], var: Var, consumed: tuple[int, ...], trace: bool
+) -> tuple[CrudeFactor, ...]:
     # Eliminates var, rewriting the factors at its inequality's positions
-    # in place; var must have exponent +1 at consumed[0] and -1 at every
-    # other position (ShapeError otherwise).  Each -1 carrier is merged
-    # with the +1 factor as it stands: var^-1 cancels against its var^+1,
-    # so every rewritten factor is built once.
+    # in place, and returns the factors it produced there.  var must have
+    # exponent +1 at consumed[0] and -1 at every other position
+    # (ShapeError otherwise).  In every crude form that build_crude
+    # makes, the +1 factor carries var alone and var is the first marker
+    # of each -1 factor, so each -1 factor drops that first entry (its
+    # marker tuple is shared one offset further on) and adds the +1
+    # factor's q exponent; with trace, its marker text drops its first
+    # denominator token.  Any other shape takes the generic merge.
+    plus_pos, *minus_pos = consumed
+    plus = factors[plus_pos]
+    base, start = plus._base, plus._start
+    if len(base) - start == 1 and base[start] == (var, 1):
+        minus = (var, -1)
+        q_exp = plus.q_exp
+        cut = len(str(var)) + 1
+        produced = [_factor(q_exp, ())]
+        for pos in minus_pos:
+            fac = factors[pos]
+            base, start = fac._base, fac._start
+            if start == len(base) or base[start] != minus:
+                break
+            text = None
+            if trace:
+                num, den, den_count = fac._marks()
+                text = (num, den[cut:], den_count - 1)
+            produced.append(_factor(fac.q_exp + q_exp, base, start + 1, text))
+        else:
+            for pos, fac in zip(consumed, produced):
+                factors[pos] = fac
+            return tuple(produced)
     for pos in consumed:
         e = factors[pos].powers.get(var, 0)
-        want = 1 if pos == consumed[0] else -1
+        want = 1 if pos == plus_pos else -1
         if e != want:
             raise ShapeError(
                 f"{var} appears with exponent {e} in factor {pos}, expected {want:+d}"
             )
-    plus_pos, *minus_pos = consumed
-    plus = factors[plus_pos]
+    # Each -1 carrier is merged with the +1 factor as it stands: var^-1
+    # cancels against its var^+1, so every rewritten factor is built once.
     for pos in minus_pos:
         factors[pos] = factors[pos].merged_with(plus)
     factors[plus_pos] = plus.without(var)
-    return EliminationStep(var, consumed, tuple(factors[pos] for pos in consumed))
+    return tuple(factors[pos] for pos in consumed)
 
 
 @overload
@@ -282,7 +391,7 @@ def run_elimination(spec, trace=False):
     engine itself is broken and surfaces as ``ShapeError``.  Raises
     ``ResourceLimitError`` past the cost bounds in the module docstring.
     """
-    steps_needed, trace_bytes = _omega_cost(spec.k, spec.n)
+    steps_needed, trace_bytes = _omega_cost(spec.k, spec.n, trace)
     if steps_needed > _OMEGA_MAX_STEPS:
         raise ResourceLimitError(
             f"elimination at k={spec.k}, n={spec.n} takes about {steps_needed} steps"
@@ -296,13 +405,14 @@ def run_elimination(spec, trace=False):
     factors = list(build_crude(spec))
     steps: list[EliminationStep] = []
     for var in elimination_order(spec):
-        step = _eliminate(factors, var, tuple(_carriers(var, spec.k)))
+        consumed = tuple(_carriers(var, spec.k))
+        produced = _eliminate(factors, var, consumed, trace)
         if trace:
-            steps.append(step)
+            steps.append(EliminationStep(var, consumed, produced))
     for pos, fac in enumerate(factors):
-        if fac.powers:
+        if fac.markers:
             raise ShapeError(
-                f"marker {min(fac.powers)} survives elimination in factor {pos}"
+                f"marker {fac.markers[0][0]} survives elimination in factor {pos}"
             )
     product = ClosedProduct(tuple(fac.q_exp for fac in factors))
     if trace:

@@ -147,13 +147,30 @@ SCALING_STDOUT = {
         "752629eb8a64780af06b5ea5a13ca5bd14bffa9e6dbb8f8dc016f2726bdc2745",
 }
 
+# The same for omega --trace, recorded from the dict-based elimination
+# engine that rendered every monomial afresh.
+TRACE_STDOUT = {
+    "omega --k 30 --n 300 --trace":
+        "fbc25a9b94ee565e061a39799c329f6cf5778e32687e76b80d4b80251c837bc7",
+    "omega --k 20 --n 100 --trace":
+        "da0c9cdbe2348ab2a6836fb1886c60652faa4e2256d90efea928d7cd69f444cd",
+}
 
-def test_prob_stdout_at_scaling_points(capsys):
-    for argv, digest in SCALING_STDOUT.items():
+
+def check_stdout_digests(capsys, pins):
+    for argv, digest in pins.items():
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, err) == (0, ""), argv
         out = out.replace(__version__, "VERSION")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_prob_stdout_at_scaling_points(capsys):
+    check_stdout_digests(capsys, SCALING_STDOUT)
+
+
+def test_omega_trace_stdout_at_scaling_points(capsys):
+    check_stdout_digests(capsys, TRACE_STDOUT)
 
 
 def check_decimal_product(parts):
@@ -421,19 +438,26 @@ def test_fib_refuses_upto_past_bound(capsys):
 
 
 def test_omega_refuses_work_past_bound(capsys):
-    # k = 3: n^2 + 9 (n - 2) steps pass 10^8 at n = 9996
-    assert _omega_cost(3, 9_995)[0] <= _OMEGA_MAX_STEPS < _omega_cost(3, 9_996)[0]
-    for trace in ((), ("--trace",)):
-        code, out, err = run_cli(capsys, "omega", "--k", "3", "--n", "9996", *trace)
+    # k = 3: 2n - 3 merges, n factor builds and n exponents of up to n bits
+    # to print pass 5 * 10^6 steps at n = 17042; a trace also prints the
+    # exponent of each of its 3n - 2 factors and passes them at n = 10750
+    assert _omega_cost(3, 17_041, False)[0] <= _OMEGA_MAX_STEPS < _omega_cost(3, 17_042, False)[0]
+    assert _omega_cost(3, 10_749, True)[0] <= _OMEGA_MAX_STEPS < _omega_cost(3, 10_750, True)[0]
+    # the largest trace served prints its exponents with str(), whose
+    # default limit is 4300 digits
+    assert len(str(max(parts_multiset(3, 10_749)))) < 4300
+    for n, trace in ((17_042, ()), (10_750, ("--trace",))):
+        code, out, err = run_cli(capsys, "omega", "--k", "3", "--n", str(n), *trace)
         assert (code, out) == (3, "")
         assert f"limit {_OMEGA_MAX_STEPS}" in err
 
 
 def test_omega_refuses_trace_memory_past_bound(capsys):
-    # (100, 2324) is within the step bound; only the trace is refused
-    assert _omega_cost(100, 2_323)[1] <= _OMEGA_MAX_TRACE_BYTES < _omega_cost(100, 2_324)[1]
-    assert _omega_cost(100, 2_324)[0] <= _OMEGA_MAX_STEPS
-    code, out, err = run_cli(capsys, "omega", "--k", "100", "--n", "2324", "--trace")
+    # (100, 2540) is within the step bound; only the trace is refused
+    served, refused = _omega_cost(100, 2_539, True), _omega_cost(100, 2_540, True)
+    assert served[1] <= _OMEGA_MAX_TRACE_BYTES < refused[1]
+    assert refused[0] <= _OMEGA_MAX_STEPS
+    code, out, err = run_cli(capsys, "omega", "--k", "100", "--n", "2540", "--trace")
     assert (code, out) == (3, "")
     assert f"limit {_OMEGA_MAX_TRACE_BYTES}" in err
 
@@ -444,7 +468,7 @@ def test_count_series_refuses_elimination_past_bound(capsys, monkeypatch):
         raise AssertionError("the crude form was built")
 
     monkeypatch.setattr(omega, "build_crude", fail)
-    argv = ("--k", "3", "--n", "9996", "--N-value", "0", "--oracle", "series")
+    argv = ("--k", "3", "--n", "17042", "--N-value", "0", "--oracle", "series")
     code, out, err = run_cli(capsys, "count", *argv)
     assert (code, out) == (3, "")
     assert f"limit {_OMEGA_MAX_STEPS}" in err

@@ -1,6 +1,8 @@
 """Counting oracles against brute-force enumeration written a different way."""
 
 import itertools
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -105,17 +107,50 @@ def test_constrained_resource_guard():
 
 
 def test_node_cap_boundary():
-    # one total on each side of the cap: the estimate N^(n-1) / (n! (n-1)!)
-    # passes it at N = 6929 for n = 3 and at N = 121 for n = 10, whose
+    # one total on each side of the cap: at n = 3 the estimate is two
+    # nodes per solution and passes it at N = 5654; at n = 10 the
+    # partition count N^(n-1) / (n! (n-1)!) passes it at N = 121, and the
     # last served total takes about 1 s and agrees with the series route
     cap = counting._NODE_CAP
-    refused = ((ProblemSpec(3, 3), 6929, 4000920), (ProblemSpec(5, 10), 121, 4222233))
+    refused = ((ProblemSpec(3, 3), 5654, 4001620), (ProblemSpec(5, 10), 121, 4222233))
     for spec, total, nodes in refused:
         message = rf"total {total} with n={spec.n} needs about {nodes} search nodes \(limit {cap}\)"
         with pytest.raises(ResourceLimitError, match=message):
             count_constrained(spec, total)
+    assert counting._search_nodes(ProblemSpec(3, 3), 5653, 5653) <= cap
     spec = ProblemSpec(5, 10)
     assert count_constrained(spec, 120) == series_coefficients(run_elimination(spec), 120)[120]
+
+
+@pytest.mark.parametrize("k, n, total", [(12, 12, 120), (3, 20, 163)])
+def test_node_estimate_refuses_slow_searches_before_searching(k, n, total):
+    # the partition count N^(n-1) / (n! (n-1)!) was under the cap at both,
+    # and the searches took 22-24 s; the solutions count refuses them in
+    # about a millisecond
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=rf"total {total} with n={n} needs about"):
+        count_constrained(ProblemSpec(k, n), total)
+    assert time.perf_counter() - start < 1
+
+
+def test_node_estimate_tracks_nodes_visited():
+    # nodes the search visits against the estimate, across n and k
+    for k, n, total in [(3, 3, 300), (4, 8, 60), (5, 10, 40), (12, 12, 40), (3, 20, 60)]:
+        spec = ProblemSpec(k, n)
+        visited = 0
+
+        def count_node(frame, event, arg):
+            nonlocal visited
+            if event == "call" and frame.f_code.co_name == "rec":
+                visited += 1
+
+        sys.setprofile(count_node)
+        try:
+            counting._constrained_counts(spec, total, total, "nonneg")
+        finally:
+            sys.setprofile(None)
+        estimate = counting._search_nodes(spec, total, total)
+        assert 0.3 * estimate <= visited <= 1.2 * estimate, (k, n, total, visited, estimate)
 
 
 def test_constrained_domain_errors():

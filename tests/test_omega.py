@@ -34,7 +34,7 @@ def eliminated(factors, var, consumed):
     # one engine step on a list copy, so the input can be checked after;
     # consumed names var's carriers, the +1 position first
     out = list(factors)
-    omega._eliminate(out, var, consumed)
+    omega._eliminate(out, var, consumed, False)
     return out
 
 
@@ -88,12 +88,12 @@ def test_run_elimination_refuses_past_bounds_before_building(monkeypatch):
     monkeypatch.setattr(omega, "build_crude", fail)
     for trace in (False, True):
         with pytest.raises(ResourceLimitError, match=f"limit {omega._OMEGA_MAX_STEPS}"):
-            run_elimination(ProblemSpec(3, 9996), trace=trace)
+            run_elimination(ProblemSpec(3, 17042), trace=trace)
     with pytest.raises(ResourceLimitError, match=f"limit {omega._OMEGA_MAX_TRACE_BYTES}"):
-        run_elimination(ProblemSpec(100, 2324), trace=True)
+        run_elimination(ProblemSpec(100, 2540), trace=True)
     # the trace bound applies only to a traced run
     with pytest.raises(AssertionError, match="crude form was built"):
-        run_elimination(ProblemSpec(100, 2324))
+        run_elimination(ProblemSpec(100, 2540))
 
 
 def test_eliminate_two_factor_identity():
@@ -298,6 +298,36 @@ def test_monomial_rendering():
     assert fac.monomial() == "q^2*lambda_2/(lambda_1*mu_5)"
     assert CrudeFactor(1, {}).monomial() == "q"
     assert CrudeFactor(0, {lam(1): 1}).monomial() == "lambda_1"
+
+
+def test_carried_trace_text_matches_fresh_rendering():
+    # a traced elimination cuts each rewritten -1 factor's text from the
+    # text of the factor it replaced; it must equal a rendering from its
+    # markers alone
+    for k in range(3, 13):
+        for n in range(k, k + 25):
+            _, steps = run_elimination(ProblemSpec(k, n), trace=True)
+            for step in steps:
+                for fac in step.produced[1:]:
+                    assert fac._text is not None, (k, n, step.var)
+                    assert fac._text == omega._marker_text(fac.markers), (k, n, step.var)
+
+
+def test_untraced_elimination_renders_no_text(monkeypatch):
+    def fail(markers):
+        raise AssertionError("marker text was rendered")
+
+    monkeypatch.setattr(omega, "_marker_text", fail)
+    assert run_elimination(ProblemSpec(30, 300)) == run_elimination(ProblemSpec(30, 300))
+    with pytest.raises(AssertionError, match="rendered"):
+        run_elimination(ProblemSpec(3, 4), trace=True)
+
+
+def test_factor_keeps_markers_in_var_order():
+    fac = CrudeFactor(2, {mu(5): -1, lam(2): 1, lam(1): -1})
+    assert fac.markers == ((lam(1), -1), (lam(2), 1), (mu(5), -1))
+    assert fac == CrudeFactor(2, {lam(1): -1, lam(2): 1, mu(5): -1})
+    assert fac != CrudeFactor(3, fac.powers)
 
 
 def naive_system(k, n):
