@@ -225,10 +225,12 @@ def _cmd_omega(k, n, trace) -> dict:
         product, steps = run_elimination(spec, trace=True)
     else:
         product = run_elimination(spec)
-    result: dict = {
-        "exponents": list(product.exponents),
-        "sorted_exponents": list(product.sorted_exponents()),
-    }
+    # Each exponent, up to n bits, is converted to decimal once and the
+    # strings are reused in sorted order.
+    exponents = product.exponents
+    digits = [_digits(e) for e in exponents]
+    order = sorted(range(len(exponents)), key=exponents.__getitem__)
+    result: dict = {"exponents": digits, "sorted_exponents": [digits[i] for i in order]}
     if trace:
         result["steps"] = [
             {

@@ -22,10 +22,14 @@ where splitmix64 is the usual xor-shift finalizer.  Blocks therefore
 never share a stream, and each block can be reproduced in isolation.
 Version 0.1.0 drew uniform cuts.
 
-A block is drawn in slabs of max(1, 2^22 // n) trials, so each float64
-array of a slab, the window array of "none" and "exists" included,
-stays near 32 MiB; n itself is capped at 2^22.  PCG64 fills rows one
-after another, so hits do not depend on the slab size.
+A block draws its slabs of max(1, 2^17 // n) trials into one reused
+float64 buffer of 1 MiB, which stays in a core's cache; "forall" and
+"ngon" add one slab of running sums, so a block holds about 2 MiB
+whatever its trial count.  "none" and "exists" check window 0 on the
+whole slab and each later window only while some row is left
+undecided; at n well above k that ends after a window or two.  n itself
+is capped at 2^22.  PCG64 fills rows one after another, so hits do not
+depend on the slab size.
 
 Cost model: a run costs trials * n + 1000 * min(chunks, trials)
 trial-pieces, since only the first min(chunks, trials) blocks are
@@ -58,13 +62,16 @@ DEFAULT_CHUNKS = 8
 
 MODES = ("none", "exists", "forall", "ngon")
 
-# Floats per slab array (32 MiB of float64); see the module docstring.
-_SLAB_FLOATS = 1 << 22
+# Floats per slab buffer (1 MiB of float64, sized to stay in a core's
+# cache) and the largest n served; see the module docstring.
+_SLAB_FLOATS = 1 << 17
+_MAX_N = 1 << 22
 
 # Cost model in trial-pieces (see the module docstring).  On a 2-core
-# host the kernel did 29-34 M trial-pieces/s at n = 3 and 45-69 M/s at
-# n = 50, and a block cost 18-21 us, about 600 trial-pieces at the
-# slowest rate, so _MAX_WORK is about 5 s at n = 3 (4.5 s measured).
+# host the kernel did 33-43 M trial-pieces/s at n = 3 (35 M/s over a
+# whole run at the limit) and 78-138 M/s at n = 50, and a block cost
+# 17-26 us, at most about 900 trial-pieces at the slowest rate, so
+# _MAX_WORK is about 5 s at n = 3 (4.1-4.4 s measured).
 _BLOCK_WORK = 1_000
 _MAX_WORK = 150_000_000
 
@@ -103,8 +110,8 @@ class SimConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         n = self.spec.n
-        if n > _SLAB_FLOATS:
-            raise ResourceLimitError(f"n={n} pieces do not fit one slab (limit {_SLAB_FLOATS})")
+        if n > _MAX_N:
+            raise ResourceLimitError(f"n={n} pieces are past the limit {_MAX_N}")
         work = _work(self)
         if work > _MAX_WORK:
             raise ResourceLimitError(
@@ -131,29 +138,44 @@ class SimResult:
 
 
 def _hit_mask(mode: str, k: int, pieces: np.ndarray) -> np.ndarray:
-    # pieces: (rows, n), each row sorted decreasing.  Window i of "none"
-    # holds piece i against sums[i + k - 1] - sums[i], the sum of its
-    # other k - 1 pieces; "forall" holds the largest piece against the
-    # k - 1 smallest.
+    # pieces: (rows, n), each row sorted decreasing; S is the running sum
+    # along a row (np.add.accumulate: cumsum without its wrapper's cost).
+    # Window i of "none" holds piece i against S[i + k - 1] - S[i], the
+    # sum of its other k - 1 pieces; "forall" holds the largest piece
+    # against the k - 1 smallest.
     n = pieces.shape[1]
-    sums = np.cumsum(pieces, axis=1)
-    if mode in ("none", "exists"):
-        m = n - k + 1
-        none = (pieces[:, :m] >= sums[:, k - 1 :] - sums[:, :m]).all(axis=1)
-        return none if mode == "none" else ~none
-    return pieces[:, 0] < sums[:, -1] - sums[:, n - k]
+    if mode in ("forall", "ngon"):
+        sums = np.add.accumulate(pieces, axis=1)
+        return pieces[:, 0] < sums[:, -1] - sums[:, n - k]
+    # Windows one at a time, each adding one column of S, until no row is
+    # left: the additions a whole-row cumsum makes, so the same bits.
+    head = np.add.accumulate(pieces[:, :k], axis=1)  # S[0 .. k - 1]
+    last = head[:, k - 1]
+    none = pieces[:, 0] >= last - head[:, 0]
+    later = []  # S[k], S[k + 1], ...
+    for i in range(1, n - k + 1):
+        if not np.count_nonzero(none):  # cheaper than none.any() on small slabs
+            break
+        last = last + pieces[:, i + k - 1]
+        later.append(last)
+        none &= pieces[:, i] >= last - (head[:, i] if i < k else later[i - k])
+    return none if mode == "none" else ~none
 
 
 def _run_block(mode: str, k: int, n: int, block_trials: int, block_seed: int) -> int:
     rng = np.random.default_rng(block_seed)
-    hits = 0
     slab_rows = max(1, _SLAB_FLOATS // n)
+    # Every slab of the block is drawn into this buffer, which
+    # standard_exponential fills with the stream it would return as a
+    # new array.
+    draws = np.empty((min(slab_rows, block_trials), n))
+    hits = 0
     for start in range(0, block_trials, slab_rows):
         rows = min(slab_rows, block_trials - start)
-        pieces = rng.standard_exponential((rows, n))
+        pieces = draws[:rows]
+        rng.standard_exponential(out=pieces)
         pieces.sort(axis=1)
-        pieces = pieces[:, ::-1]
-        hits += int(np.count_nonzero(_hit_mask(mode, k, pieces)))
+        hits += int(np.count_nonzero(_hit_mask(mode, k, pieces[:, ::-1])))
     return hits
 
 

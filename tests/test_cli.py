@@ -613,7 +613,7 @@ def test_simulate_refuses_work_past_bound(capsys, monkeypatch):
         ("--n", "3", "--trials", str(trials + 1)),
         # a million one-trial blocks cost about 60 s in block overhead alone
         ("--n", "3", "--trials", "1000000", "--chunks", "1000000"),
-        ("--n", str(montecarlo._SLAB_FLOATS + 1), "--trials", "1"),
+        ("--n", str(montecarlo._MAX_N + 1), "--trials", "1"),
     ):
         code, out, err = run_cli(capsys, "simulate", "--mode", "none", "--k", "3", *argv)
         assert (code, out) == (3, ""), argv

@@ -2,7 +2,7 @@
 
 import time
 import tracemalloc
-from math import sqrt
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -138,11 +138,14 @@ def test_predicates_complement_when_all_pieces_used(raw):
 
 @pytest.mark.parametrize("slab_rows", [None, 7])
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("k, n", [(3, 3), (3, 5), (4, 6), (3, 12), (7, 12), (12, 12)])
+@pytest.mark.parametrize(
+    "k, n", [(3, 3), (3, 5), (4, 6), (3, 12), (7, 12), (12, 12), (3, 40), (5, 50), (20, 45)]
+)
 def test_vectorized_blocks_match_scalar_predicates(monkeypatch, k, n, mode, slab_rows):
     # one block, replayed trial by trial with the scalar path; (3, 3) and
-    # (12, 12) have a single window, and slab_rows = 7 splits the block
-    # into many slabs
+    # (12, 12) have a single window, at (3, 40) and (5, 50) nearly every
+    # slab is decided by its first window, (20, 45) has large k with
+    # n near 2k, and slab_rows = 7 splits the block into many slabs
     if slab_rows is not None:
         monkeypatch.setattr(montecarlo, "_SLAB_FLOATS", slab_rows * n)
     trials = 2000
@@ -198,6 +201,13 @@ PINNED = [
     ("forall", 6, 8, 10_007, DEFAULT_SEED, 8, 4166),
     ("ngon", 12, 12, 20_000, 5, 5, 19872),
     ("ngon", 3, 4, 25_000, 6, 2, 12554),
+    # Recorded before "none" and "exists" checked windows one at a time:
+    # later windows decide rows at these points, and (3, 6) spans three slabs.
+    ("none", 3, 6, 50_000, 7, 1, 2710),
+    ("exists", 3, 7, 30_000, 8, 4, 29660),
+    ("none", 4, 8, 40_000, 9, 2, 13),
+    ("forall", 20, 200, 50_000, 10, 8, 0),
+    ("ngon", 100, 100, 50_000, 11, 8, 50_000),
 ]
 
 EXACT = {"none": prob_none, "exists": prob_exists, "forall": prob_forall}
@@ -208,9 +218,11 @@ def test_pinned_hits(mode, k, n, trials, seed, chunks, hits):
     config = SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, seed=seed, chunks=chunks)
     result = estimate(config)
     assert result.hits == hits
-    # the pins check the sampler's law as well as its stream
-    exact = float(prob_ngon(n) if mode == "ngon" else EXACT[mode](ProblemSpec(k, n)))
-    assert abs(result.estimate - exact) < 5 * sqrt(exact * (1 - exact) / trials)
+    # the pins check the sampler's law as well as its stream: within 5
+    # standard errors, squared and in exact arithmetic, since the ngon
+    # probability at n = 100 rounds to 1.0 as a float
+    exact = prob_ngon(n) if mode == "ngon" else EXACT[mode](ProblemSpec(k, n))
+    assert (Fraction(hits, trials) - exact) ** 2 < 25 * exact * (1 - exact) / trials
 
 
 def test_empty_blocks_cost_nothing():
@@ -230,6 +242,23 @@ def test_empty_blocks_cost_nothing():
         tracemalloc.stop()
     assert peak < 1 << 20, peak
     assert many.hits == estimate(SimConfig(spec=spec, mode="none", trials=5, seed=8, chunks=5)).hits
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_block_memory_is_a_few_slabs(mode):
+    # a block reuses one slab buffer, so its peak stays near a slab however
+    # many trials it holds; 10^5 trials of 50 pieces in one array would
+    # take 38 MiB
+    k, n = 5, 50
+    tracemalloc.start()
+    try:
+        _run_block(mode, n if mode == "ngon" else k, n, 100_000, _chunk_seed(DEFAULT_SEED, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a slab stays cache-sized, and a block holds at most three of them
+    assert montecarlo._SLAB_FLOATS <= 1 << 19
+    assert peak < 3 * 8 * montecarlo._SLAB_FLOATS, peak
 
 
 def test_slab_size_does_not_change_hits(monkeypatch):
