@@ -32,7 +32,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from . import ResourceLimitError, __version__
-from .counting import count_constrained, count_restricted, hermite_coeff, series_coefficients
+from .counting import count_constrained, count_restricted, hermite_coeff
 from .genfib import fib_table, parts_multiset
 from .montecarlo import DEFAULT_CHUNKS, DEFAULT_SEED, MODES, SimConfig, estimate
 from .omega import run_elimination
@@ -252,7 +252,7 @@ def _cmd_count(k, n, n_value, oracle, positivity) -> dict:
     elif oracle == "parts":
         count = count_restricted(parts_multiset(k, n), n_value)
     else:
-        count = series_coefficients(run_elimination(spec), n_value)[n_value]
+        count = count_restricted(run_elimination(spec).exponents, n_value)
     return {"count": count}
 
 

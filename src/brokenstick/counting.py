@@ -10,7 +10,11 @@ other and the closed forms:
   ``verify --suite lemma1`` walks each prefix once for all its totals.
 * ``count_restricted`` / ``series_coefficients``: classical coin-style
   partition DP, counting by part sizes (the elimination engine's
-  output) instead of by direct search.
+  output) instead of by direct search.  ``series_coefficients`` keeps
+  every coefficient up to its order.  ``count_restricted`` fills the
+  table only to c + rL, for r part sizes of lcm L and c the total mod
+  L, and extrapolates the count, a polynomial on each residue class
+  mod L, exactly to the total.
 * ``hermite_coeff``: closed-form count of compositions into n positive
   parts each at most half the total, the coefficients of the
   all-pieces polygon generating function.
@@ -23,7 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, e, factorial, log2, prod
+from math import comb, e, factorial, lcm, log2, prod
+from operator import add
 from typing import Iterable, Literal
 
 from .genfib import parts_multiset
@@ -51,11 +56,17 @@ _MAX_DEPTH = 500
 
 # The coin-change DP adds one int per cell, a (part p, total s) pair
 # with p <= s <= n_max, and keeps n_max + 1 ints.  On a 2-core host it
-# did 8-10 M cells/s with counts up to 130 bits and 5 M/s with 4000-bit
-# counts, and peaked at 562 MiB RSS at n_max = 10^7; past either bound
-# a table would take about 10 s or more, or over half a GiB.
+# did 13-15 M cells/s with counts up to 62 bits, 10 M/s at 126 bits and
+# 7 M/s with 3900-bit counts, and peaked at 564-572 MiB RSS at n_max =
+# 10^7; past either bound a table would take about 4-7 s or more, or
+# over half a GiB.
 _MAX_TABLE_CELLS = 50_000_000
 _MAX_TABLE_TOTAL = 10_000_000
+# Each slice operation of the DP replaces at most this many entries, so
+# its new ints take a few MiB beside the table.  Slicing whole residue
+# classes would raise the peak at 10^7 to about 900 MiB, and taking the
+# runs class by class rather than stretch by stretch to 640 MiB.
+_SLICE = 1 << 16
 
 # hermite_coeff's cost is the binomial C(N-1, b) with b = min(n-1, N-n)
 # its smaller side, which has at most b log2(e (N-1) / b) bits.  By that
@@ -89,8 +100,7 @@ def _search_nodes(spec: ProblemSpec, t_min: int, t_max: int) -> int:
     for p in sorted(parts_multiset(k, n)):
         if p > t_max or nodes > _NODE_CAP:
             break
-        for s in range(p, t_max + 1):
-            ways[s] += ways[s - p]
+        _add_part(ways, p)
         nodes = per_solution * sum(ways[t_min:])
     return max(partitions, nodes)
 
@@ -172,8 +182,27 @@ def count_constrained(
     return _constrained_counts(spec, n_value, n_value, positivity)[0]
 
 
-def _restricted_table(parts: Iterable[int], n_max: int) -> list[int]:
-    parts = tuple(parts)
+def _add_part(ways: list[int], p: int) -> None:
+    # Multiplies the series ways[0..] by 1/(1 - q^p) in place, that is
+    # ways[s] += ways[s - p] for s = p, p + 1, ... in order, in at most
+    # sqrt(n_max) + n_max / _SLICE slice operations.  A small p takes
+    # running sums down its p residue classes, one stretch of span
+    # totals at a time; each class's run starts at the finished last
+    # entry of its run in the stretch before.  A large p adds to each
+    # run of totals the finished run p before it.
+    n_max = len(ways) - 1
+    if p * p <= n_max:
+        span = p * _SLICE
+        for base in range(0, n_max + 1, span):
+            for s in range(base, base + p):
+                ways[s : s + span + 1 : p] = accumulate(ways[s : s + span + 1 : p])
+    else:
+        run = min(p, _SLICE)
+        for j in range(p, n_max + 1, run):
+            ways[j : j + run] = map(add, ways[j : j + run], ways[j - p : j - p + run])
+
+
+def _check_table(parts: tuple[int, ...], n_max: int) -> None:
     if any(p < 1 for p in parts):
         raise ValueError(f"part sizes must be positive, got {min(parts)}")
     cells = sum(n_max + 1 - p for p in parts if p <= n_max)
@@ -182,11 +211,15 @@ def _restricted_table(parts: Iterable[int], n_max: int) -> list[int]:
             f"a partition table to total {n_max} fills {cells} cells"
             f" (limits {_MAX_TABLE_CELLS} cells, total {_MAX_TABLE_TOTAL})"
         )
+
+
+def _restricted_table(parts: Iterable[int], n_max: int) -> list[int]:
+    parts = tuple(parts)
+    _check_table(parts, n_max)
     ways = [0] * (n_max + 1)
     ways[0] = 1
     for p in parts:
-        for s in range(p, n_max + 1):
-            ways[s] += ways[s - p]
+        _add_part(ways, p)
     return ways
 
 
@@ -194,17 +227,48 @@ def count_restricted(parts: Iterable[int], n_value: int) -> int:
     """Partitions of n_value into parts drawn from ``parts``, repetition allowed.
 
     A repeated size in ``parts`` counts as a distinct part type, so
-    ([1, 1], s) gives s + 1, not 1.  Coin-change DP, one cell per part
-    p <= n_value and total p..n_value; raises ``ResourceLimitError``
-    past 5 * 10^7 cells or a total past 10^7.
+    ([1, 1], s) gives s + 1, not 1.  With r the parts p <= N = n_value
+    and L their lcm, the count is a polynomial of degree r - 1 in N on
+    each residue class of N mod L, for every N >= L - sum(p) (Sylvester):
+    the generating function is P(q) / (1 - q^L)^r with deg P = rL - sum(p).
+    So the coin-change DP fills a table only to c + rL, c = N mod L,
+    and the count is extrapolated exactly from the r entries at
+    c + L, ..., c + rL by Newton's forward differences.  When c + rL is
+    not below N the count is read from the table to N.  That costs
+    O(r * min(N, (r + 1) L)) cells plus r^2 big-int operations.  The
+    guard is still on N: ``ResourceLimitError`` past 5 * 10^7 cells,
+    one per part p <= N and total p..N, or a total past 10^7.
     """
     if n_value < 0:
         raise ValueError(f"total must be nonnegative, got {n_value}")
-    return _restricted_table(parts, n_value)[n_value]
+    parts = tuple(parts)
+    _check_table(parts, n_value)
+    used = [p for p in parts if p <= n_value]
+    period = lcm(*used)
+    c = n_value % period
+    last = c + len(used) * period
+    if last >= n_value:
+        return _restricted_table(used, n_value)[n_value]
+    # diffs holds y_1..y_r, y_j the count at c + jL, and after step i
+    # the differences of order i + 1; t is N's offset from y_1 in steps
+    diffs = _restricted_table(used, last)[c + period :: period]
+    t = (n_value - c) // period - 1
+    count, binom = 0, 1
+    for i in range(len(used)):
+        count += binom * diffs[0]
+        binom = binom * (t - i) // (i + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return count
 
 
 def series_coefficients(product: ClosedProduct, n_max: int) -> list[int]:
-    """Coefficients 0..n_max of prod_i 1/(1 - q^e_i), by ``count_restricted``'s DP."""
+    """Coefficients 0..n_max of prod_i 1/(1 - q^e_i), by the coin-change DP.
+
+    Every coefficient is kept, so the table is filled to n_max: one cell
+    per exponent e <= n_max and total e..n_max, under the same guard as
+    ``count_restricted`` (5 * 10^7 cells, total 10^7), which reads a
+    single coefficient from a shorter table.
+    """
     if n_max < 0:
         raise ValueError(f"truncation order must be nonnegative, got {n_max}")
     return _restricted_table(product.exponents, n_max)
@@ -248,7 +312,10 @@ def asymptotic_ratio(spec: ProblemSpec, n_value: int) -> Fraction:
 
     With r part sizes of product P, partitions of N into those parts
     number N^(r-1) / ((r-1)! P) to leading order; the exact ratio
-    returned here tends to 1 as n_value grows.
+    returned here tends to 1 as n_value grows.  The count is
+    ``count_restricted``'s: O(r * min(N, (r + 1) L)) cells plus r^2
+    big-int operations, L the lcm of the parts p <= N, under the same
+    guard on N (5 * 10^7 cells of a table to N, total 10^7).
     """
     if n_value < 1:
         raise ValueError(f"total must be positive, got {n_value}")

@@ -1,6 +1,7 @@
 """Counting oracles against brute-force enumeration written a different way."""
 
 import itertools
+import math
 import sys
 import time
 import tracemalloc
@@ -223,6 +224,93 @@ def test_restricted_domain_errors():
         count_restricted([1, 0], 4)
     with pytest.raises(ValueError):
         count_restricted([1, 2], -1)
+
+
+def loop_table(parts, n_max):
+    # the coin-change DP one cell at a time
+    ways = [1] + [0] * n_max
+    for p in parts:
+        for s in range(p, n_max + 1):
+            ways[s] += ways[s - p]
+    return ways
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), max_size=4),
+    st.integers(min_value=0, max_value=300),
+    st.sampled_from([1, 2, 3, 1 << 16]),
+)
+def test_table_slices_match_the_loop(parts, n_max, slice_len):
+    # short slices split every residue class and every block into runs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_SLICE", slice_len)
+        assert counting._restricted_table(parts, n_max) == loop_table(parts, n_max)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), max_size=5),
+    st.integers(min_value=0, max_value=2000),
+)
+def test_restricted_extrapolation_matches_full_table(parts, total):
+    # parts from 1..6 keep the lcm at most 60, so most totals extrapolate
+    assert count_restricted(iter(parts), total) == counting._restricted_table(parts, total)[total]
+
+
+def record_table_totals(monkeypatch):
+    totals = []
+    table = counting._restricted_table
+
+    def spy(parts, n_max):
+        totals.append(n_max)
+        return table(parts, n_max)
+
+    monkeypatch.setattr(counting, "_restricted_table", spy)
+    return totals
+
+
+@pytest.mark.parametrize("parts", [(2, 3), (2, 3, 5), (1, 1, 4), (3, 4, 4)])
+def test_restricted_at_the_extrapolation_switch(parts, monkeypatch):
+    # the table stops at c + rL, c = N mod L, and is read directly once
+    # that reaches N; each class is checked on both sides of the switch
+    r, period = len(parts), math.lcm(*parts)
+    totals = record_table_totals(monkeypatch)
+    for c in range(period):
+        for total in (c + r * period - 1, c + r * period, c + r * period + 1, c + (r + 1) * period):
+            totals.clear()
+            assert count_restricted(parts, total) == slow_restricted(parts, total), total
+            assert totals == [min(total, total % period + r * period)], total
+
+
+def test_restricted_no_parts_and_one_part():
+    assert [count_restricted((), total) for total in range(5)] == [1, 0, 0, 0, 0]
+    # a part larger than the total cannot be used, leaving no parts
+    assert count_restricted((50,), 10) == 0
+    assert count_restricted((50,), 0) == 1
+    assert count_restricted((7,), 700_000) == 1
+    assert count_restricted((7, 10**9), 1_000_000) == 0
+    assert count_restricted((7,), 1_000_005) == 0
+
+
+def test_restricted_table_stops_at_the_last_sample(monkeypatch):
+    # L = 28 and 10^5 = 12 (mod 28), so the table ends at 12 + 4 * 28
+    totals = record_table_totals(monkeypatch)
+    assert count_restricted((1, 2, 4, 7), 10**5) == 2976815517858
+    assert totals == [124]
+
+
+def test_restricted_pinned_against_the_full_table():
+    # read from the table filled to 10^6 before the count extrapolated
+    assert count_restricted((1, 2, 4, 7), 10**6) == 2976252976607144
+
+
+def test_restricted_guard_is_on_the_requested_total(monkeypatch):
+    # the table would stop at a few cells, but the total is past the bound
+    totals = record_table_totals(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="total 10000001 fills"):
+        count_restricted((1, 2), counting._MAX_TABLE_TOTAL + 1)
+    assert totals == []
 
 
 def test_series_coefficients_basic():
