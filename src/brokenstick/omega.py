@@ -30,30 +30,32 @@ with X, Y_i monomials free of v, the result is
     1/(1 - X), 1/(1 - X*Y_1), ..., 1/(1 - X*Y_m)
 
 i.e. the +1 factor's monomial is multiplied into each -1 factor
-independently and v disappears.  Each step reads only v's carriers,
-which its inequality names; any other exponent there (a missing
-marker, a wrong sign, a magnitude >= 2) raises ``ShapeError``.
+independently and v disappears.  In every crude form built here X is a
+power of q alone when v's turn comes, and that case is the only one
+the engine rewrites.  Each step reads only v's carriers, which its
+inequality names, and raises ``ShapeError`` on any other shape there:
+an exponent of v other than +1 at the large piece and -1 at the others
+(a missing marker, a wrong sign, a magnitude >= 2), an earlier marker
+left on a carrier, or a second marker on the +1 factor.
 
 Eliminating all markers of a crude form built here, window markers
 first and then the chain markers in index order, leaves a product of
 plain factors 1/(1 - q^e); the exponent multiset is returned as a
 ``ClosedProduct``.  Each marker's carriers are checked once, by its
 own step; a pass after the last step rejects any marker left over,
-such as a copy that a merge spread off its inequality.  For
-every (k, n) the product coincides with the step-Fibonacci prediction
-of ``genfib.parts_multiset``, which is what makes the closed
-probability formulas work.
+which is one that sorts after every named marker and rode a -1
+carrier to the end.  For every (k, n) the product coincides with the
+step-Fibonacci prediction of ``genfib.parts_multiset``, which is what
+makes the closed probability formulas work.
 
 ``run_elimination`` rewrites one list of factors in place, one pass per
 marker over its carriers.  A factor keeps its markers in ``Var`` order,
 which is also elimination order, so the marker being eliminated is the
-first entry of each factor that carries it.  In every crude form built
-here the +1 factor carries that marker alone, so each -1 factor only
-drops its first entry and gains the +1 factor's q exponent; any other
-shape takes the generic merge, with every check above.  A traced run
-also carries each factor's rendered marker text, cutting the eliminated
-marker's name off the text of the factor it replaces; an untraced run
-renders no text.
+first entry of each factor that carries it.  Each -1 factor drops that
+entry, sharing its marker tuple one offset further on, and gains the
++1 factor's q exponent.  A traced run also carries each factor's
+rendered marker text, cutting the eliminated marker's name off the
+text of the factor it replaces; an untraced run renders no text.
 
 The n - k + 1 window markers merge k - 1 factors each and the k - 2
 chain markers one, after n factor builds.  The q exponents reach n
@@ -62,8 +64,9 @@ size: the n final exponents, and with a trace also the exponent of each
 of the (n - k + 1) k + 2 (k - 2) factors the steps produce.  So the
 bound counts merges + n + (exponents printed) n^2 / 10^6 steps.  On a
 2-core host (50, 2000) takes 0.07-0.10 s in process and (200, 2000)
-0.25-0.36 s; at the bound, ``omega`` takes 4.4 s at (3, 17041), 8.7 s
-at (10, 16904), 7.9 s at (2000, 4452) and 10.5 s at (5000, 5954).  A
+0.21-0.36 s; at the bound, ``omega`` takes 2.2-2.3 s at (3, 17041),
+4.2-4.6 s at (10, 16904), 6.0-8.7 s at (2000, 4452) and 8.1-8.6 s at
+(5000, 5954), end to end.  A
 trace keeps about 460 bytes per produced factor plus 2n/3 for its q
 exponent, and 46 bytes per marker entry of a produced factor, summed in
 closed form.  At the bounds, traces took 2.8 s and 255 MiB at (3, 10749),
@@ -77,7 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, overload, Literal
+from typing import Literal, NamedTuple, NoReturn, overload
 
 from .probability import ProblemSpec, ResourceLimitError
 
@@ -121,7 +124,7 @@ class Var(NamedTuple):
 
 
 class ShapeError(ValueError):
-    """Marker usage outside the supported +-1 exponent fragment."""
+    """A crude form that the module docstring's one-step rewrite cannot take."""
 
 
 # A monomial's marker text: the numerator markers joined by "*", the
@@ -182,21 +185,6 @@ class CrudeFactor:
     @property
     def powers(self) -> dict[Var, int]:
         return dict(self.markers)
-
-    def without(self, var: Var) -> "CrudeFactor":
-        """Copy with var removed from the monomial."""
-        return _factor(self.q_exp, tuple(m for m in self.markers if m[0] != var))
-
-    def merged_with(self, other: "CrudeFactor") -> "CrudeFactor":
-        """Factor whose monomial is the product of the two monomials."""
-        powers = self.powers
-        for v, e in other.markers:
-            tot = powers.get(v, 0) + e
-            if tot:
-                powers[v] = tot
-            else:
-                powers.pop(v)
-        return CrudeFactor(self.q_exp + other.q_exp, powers)
 
     def _marks(self) -> _Text:
         # The marker text, rendered on first use unless a traced
@@ -322,36 +310,42 @@ def _eliminate(
     factors: list[CrudeFactor], var: Var, consumed: tuple[int, ...], trace: bool
 ) -> tuple[CrudeFactor, ...]:
     # Eliminates var, rewriting the factors at its inequality's positions
-    # in place, and returns the factors it produced there.  var must have
-    # exponent +1 at consumed[0] and -1 at every other position
-    # (ShapeError otherwise).  In every crude form that build_crude
-    # makes, the +1 factor carries var alone and var is the first marker
-    # of each -1 factor, so each -1 factor drops that first entry (its
-    # marker tuple is shared one offset further on) and adds the +1
-    # factor's q exponent; with trace, its marker text drops its first
-    # denominator token.  Any other shape takes the generic merge.
+    # in place, and returns the factors it produced there.  The factor at
+    # consumed[0] must carry var^+1 alone and every other one var^-1 as
+    # its first marker (ShapeError otherwise, with nothing rewritten).
+    # Each -1 factor drops that first entry (its marker tuple is shared
+    # one offset further on) and adds the +1 factor's q exponent; with
+    # trace, its marker text drops its first denominator token.
     plus_pos, *minus_pos = consumed
     plus = factors[plus_pos]
     base, start = plus._base, plus._start
-    if len(base) - start == 1 and base[start] == (var, 1):
-        minus = (var, -1)
-        q_exp = plus.q_exp
-        cut = len(str(var)) + 1
-        produced = [_factor(q_exp, ())]
-        for pos in minus_pos:
-            fac = factors[pos]
-            base, start = fac._base, fac._start
-            if start == len(base) or base[start] != minus:
-                break
-            text = None
-            if trace:
-                num, den, den_count = fac._marks()
-                text = (num, den[cut:], den_count - 1)
-            produced.append(_factor(fac.q_exp + q_exp, base, start + 1, text))
-        else:
-            for pos, fac in zip(consumed, produced):
-                factors[pos] = fac
-            return tuple(produced)
+    if len(base) - start != 1 or base[start] != (var, 1):
+        _reject(factors, var, consumed)
+    minus = (var, -1)
+    q_exp = plus.q_exp
+    cut = len(str(var)) + 1
+    produced = [_factor(q_exp, ())]
+    for pos in minus_pos:
+        fac = factors[pos]
+        base, start = fac._base, fac._start
+        if start == len(base) or base[start] != minus:
+            _reject(factors, var, consumed)
+        text = None
+        if trace:
+            num, den, den_count = fac._marks()
+            text = (num, den[cut:], den_count - 1)
+        produced.append(_factor(fac.q_exp + q_exp, base, start + 1, text))
+    for pos, fac in zip(consumed, produced):
+        factors[pos] = fac
+    return tuple(produced)
+
+
+def _reject(factors: list[CrudeFactor], var: Var, consumed: tuple[int, ...]) -> NoReturn:
+    # The ShapeError for carriers that _eliminate cannot rewrite: var's
+    # exponent is not +1 at consumed[0] and -1 elsewhere, an earlier
+    # marker stands first on a carrier, or the +1 factor carries another
+    # marker.
+    plus_pos = consumed[0]
     for pos in consumed:
         e = factors[pos].powers.get(var, 0)
         want = 1 if pos == plus_pos else -1
@@ -359,12 +353,12 @@ def _eliminate(
             raise ShapeError(
                 f"{var} appears with exponent {e} in factor {pos}, expected {want:+d}"
             )
-    # Each -1 carrier is merged with the +1 factor as it stands: var^-1
-    # cancels against its var^+1, so every rewritten factor is built once.
-    for pos in minus_pos:
-        factors[pos] = factors[pos].merged_with(plus)
-    factors[plus_pos] = plus.without(var)
-    return tuple(factors[pos] for pos in consumed)
+    for pos in consumed:
+        first = factors[pos].markers[0][0]
+        if first != var:
+            raise ShapeError(f"marker {first} survives elimination in factor {pos}")
+    other = factors[plus_pos].markers[1][0]
+    raise ShapeError(f"{var} shares its +1 factor {plus_pos} with marker {other}")
 
 
 @overload
@@ -384,10 +378,9 @@ def run_elimination(spec, trace=False):
 
     Returns the resulting ``ClosedProduct``, or with ``trace=True`` a
     pair (product, steps) where steps has one ``EliminationStep`` per
-    marker in elimination order.  Each step checks its own marker's
-    exponents at the carriers of its inequality, and a final pass
-    rejects any marker left over (one the order never named, or one a
-    merge spread off its inequality); either violation means the
+    marker in elimination order.  Each step checks the shape of its
+    own marker's carriers, and a final pass rejects any marker left
+    over (one the order never named); either violation means the
     engine itself is broken and surfaces as ``ShapeError``.  Raises
     ``ResourceLimitError`` past the cost bounds in the module docstring.
     """

@@ -38,6 +38,15 @@ time, among them (3, 80000) 3.8 s, (50, 10000) 2.8 s, (100, 4000)
 2.5 * 10^13 steps (about 10 s) it raises ``ResourceLimitError`` before
 the first term; the largest requests served took 6.4-10.7 s.  For k = 3
 every n <= 127437 is served, for k = 1000 every n <= 2018.
+
+Cost of ``prob_ngon``: 1 - n / 2^(n-1) takes O(n) bit operations, 0.2 s
+at n = 3.3 * 10^7, but its numerator and denominator have about 0.3 n
+decimal digits each, and the CLI prints both.  Rendering them costs
+O(M(d) log d) for d digits, about 0.25 s per 10^6 n on a 2-core host,
+and libmpdec's transform length doubles just past n = 3.31 * 10^7: end
+to end, ``prob ngon`` took 6.8-8.7 s at n = 3.2-3.3 * 10^7 and 11-13 s
+at 3.4 * 10^7.  Past n = 3.3 * 10^7 it raises ``ResourceLimitError``
+before it builds 2^(n-1).
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ __all__ = [
 # See the cost models in the module docstring.
 _PROB_NONE_MAX_BITS = 8_000_000
 _PROB_FORALL_MAX_STEPS = 25_000_000_000_000
+_PROB_NGON_MAX_N = 33_000_000
 
 
 class ResourceLimitError(RuntimeError):
@@ -204,7 +214,14 @@ def prob_forall(spec: ProblemSpec) -> Fraction:
 
 
 def prob_ngon(n: int) -> Fraction:
-    """Probability that all n pieces together form an n-gon: 1 - n / 2^(n-1)."""
+    """Probability that all n pieces together form an n-gon: 1 - n / 2^(n-1).
+
+    Past the module docstring's cost bound raises ``ResourceLimitError``.
+    """
     if n < 3:
         raise ValueError(f"polygon size must be at least 3, got n={n}")
+    if n > _PROB_NGON_MAX_N:
+        raise ResourceLimitError(
+            f"prob_ngon at n={n} needs 2^(n-1), an int of {n} bits (limit n <= {_PROB_NGON_MAX_N})"
+        )
     return 1 - Fraction(n, 2 ** (n - 1))

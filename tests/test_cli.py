@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -50,6 +51,7 @@ from brokenstick.montecarlo import _BLOCK_WORK, _MAX_WORK
 from brokenstick.omega import _OMEGA_MAX_STEPS, _OMEGA_MAX_TRACE_BYTES, _omega_cost
 from brokenstick.probability import (
     _PROB_FORALL_MAX_STEPS,
+    _PROB_NGON_MAX_N,
     _PROB_NONE_MAX_BITS,
     _forall_steps,
     _none_denominator_bits,
@@ -429,6 +431,15 @@ def test_prob_none_refuses_denominators_past_bound(capsys):
             assert f"limit {_PROB_NONE_MAX_BITS}" in err
     record = run_json(capsys, "prob", "none", "--k", "4001", "--n", "4001")
     assert record["result"]["probability"] == f"4001/{_digits(2**4000)}"
+
+
+def test_prob_ngon_refuses_n_past_bound(capsys):
+    # served, the request would print two 10^7-digit ints for over 10 s
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "prob", "ngon", "--n", str(_PROB_NGON_MAX_N + 1))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert f"limit n <= {_PROB_NGON_MAX_N}" in err
 
 
 def test_fib_refuses_upto_past_bound(capsys):

@@ -4,6 +4,7 @@ import importlib
 import pkgutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brokenstick
 from brokenstick import (
@@ -120,32 +121,28 @@ def test_eliminate_broadcasts_into_each_minus_factor():
     assert [f.powers for f in factors] == [{v: 1}, {v: -1}, {v: -1}, {v: -1}]
 
 
-def test_eliminate_carries_other_markers_along():
-    # the +1 factor's surviving markers ride into each -1 factor
+def test_eliminate_rejects_other_markers_on_plus_factor():
+    # a +1 factor with a second marker is outside the one rewrite
     v, w = lam(1), lam(2)
     factors = (
         CrudeFactor(1, {v: 1, w: 1}),
         CrudeFactor(1, {v: -1}),
         CrudeFactor(1, {w: -1}),
     )
-    out = eliminated(factors, v, (0, 1))
-    assert out[0].powers == {w: 1}
-    assert out[1].powers == {w: 1}
-    assert out[1].q_exp == 2
-    # untouched factor is exactly the old object
-    assert out[2] is factors[2]
+    with pytest.raises(ShapeError, match=r"lambda_1 shares its \+1 factor 0 with marker lambda_2"):
+        eliminated(factors, v, (0, 1))
 
 
-def test_eliminate_cancels_opposite_exponents():
-    # merging +1 and -1 of the same marker must drop it, not store 0
+def test_eliminate_rejects_opposite_exponents_on_plus_factor():
+    # w^+1 on the +1 factor would cancel w^-1 on the -1 factor; the
+    # step rejects it instead of merging
     v, w = lam(1), lam(2)
     factors = (
         CrudeFactor(1, {v: 1, w: 1}),
         CrudeFactor(1, {v: -1, w: -1}),
     )
-    out = eliminated(factors, v, (0, 1))
-    assert out[1].powers == {}
-    assert out[1].q_exp == 2
+    with pytest.raises(ShapeError, match=r"lambda_1 shares its \+1 factor 0 with marker lambda_2"):
+        eliminated(factors, v, (0, 1))
 
 
 def test_eliminate_shape_errors():
@@ -175,19 +172,26 @@ def _crude_with(spec, edits):
 @pytest.mark.parametrize(
     "edits, message",
     [
-        # a marker elimination_order never names: only the final check sees it
-        ({2: {Var("nu", 1): 1}, 3: {Var("nu", 1): -1}}, "nu_1 survives"),
-        # the last chain marker gains a second +1 factor; the window steps
-        # carry it along, and it is only met at mu_4's own step
-        ({0: {mu(4): 1}}, "mu_4 appears with exponent 4 in factor 3"),
+        # a marker elimination_order never names rides the +1 factor of lambda_3
+        (
+            {2: {Var("nu", 1): 1}, 3: {Var("nu", 1): -1}},
+            r"lambda_3 shares its \+1 factor 2 with marker nu_1",
+        ),
+        # the last chain marker gains a second +1 factor, on the +1 factor
+        # of the first window marker
+        ({0: {mu(4): 1}}, r"lambda_1 shares its \+1 factor 0 with marker mu_4"),
         # exponent 2 on a window marker that is eliminated after the first
         ({2: {lam(2): 2}}, "lambda_2 appears with exponent 2"),
         # piece 2 loses its lambda_1^-1: the product of another system
         ({1: {lam(1): 0}}, "lambda_1 appears with exponent 0 in factor 1"),
-        # piece 5 gains a lambda_1^-1 outside the window of lambda_1
+        # piece 5 gains a lambda_1^-1 outside the window of lambda_1; it
+        # still stands first there at lambda_3's step
         ({4: {lam(1): -1}}, "lambda_1 survives elimination in factor 4"),
         # the +1 of lambda_2 moves from piece 2 to piece 3
         ({1: {lam(2): -1}, 2: {lam(2): 1}}, "lambda_2 appears with exponent -1 in factor 1"),
+        # a marker that sorts after every named one rides the last -1
+        # carrier to the end: only the final check sees it
+        ({4: {Var("nu", 1): -1}}, "nu_1 survives elimination in factor 4"),
     ],
     ids=[
         "unknown-marker",
@@ -196,6 +200,7 @@ def _crude_with(spec, edits):
         "dropped-minus",
         "stray-minus",
         "moved-plus",
+        "trailing-marker",
     ],
 )
 def test_run_elimination_rejects_broken_crude_forms(monkeypatch, edits, message):
@@ -389,6 +394,15 @@ def test_run_elimination_matches_naive_reference():
                 assert got == produced, (k, n, name)
             assert all(not p for _, p in form)
             assert product.exponents == tuple(q for q, _ in form), (k, n)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=3, max_value=40), st.integers(min_value=0, max_value=80))
+def test_run_elimination_matches_prediction_property(k, extra):
+    spec = ProblemSpec(k, k + extra)
+    product = run_elimination(spec)
+    assert product.sorted_exponents() == tuple(sorted(parts_multiset(k, k + extra)))
+    assert run_elimination(spec, trace=True)[0] == product
 
 
 def test_every_exported_name_resolves():

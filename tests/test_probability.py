@@ -1,5 +1,6 @@
 """Exact probability formulas: known values, identities, and cross-forms."""
 
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
@@ -82,6 +83,22 @@ def test_ngon_known_values():
     assert prob_ngon(5) == Fraction(11, 16)
     with pytest.raises(ValueError):
         prob_ngon(2)
+
+
+def test_prob_ngon_refuses_past_bound_before_building_the_power():
+    # 2^(n-1) has n bits, about 4 MiB past the bound; a refusal stays far below
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="limit n <= 33000000"):
+            prob_ngon(33_000_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the largest n served: 33 * 10^6 = 2^6 * 515625
+    value = prob_ngon(33_000_000)
+    assert value.denominator == 1 << (33_000_000 - 7)
+    assert value.numerator == value.denominator - 515625
 
 
 def renyi_forall(k, n):
