@@ -200,8 +200,14 @@ def _cmd_prob(event, n, k=None, decimal=None) -> dict:
         num, den = _to_decimal(numerator), _decimal_product(parts)
         if event == "exists":
             num = _EXACT.subtract(den, num)
+    elif event == "ngon":
+        # 1 - n / 2^(n-1) is the denominator less n / 2^s, for 2^s the
+        # power of two in n, so the numerator takes one exact subtraction
+        value = prob_ngon(n)
+        den = _to_decimal(value.denominator)
+        num = _EXACT.subtract(den, Decimal(value.denominator - value.numerator))
     else:
-        value = prob_ngon(n) if event == "ngon" else prob_forall(ProblemSpec(k, n))
+        value = prob_forall(ProblemSpec(k, n))
         num, den = _to_decimal(value.numerator), _to_decimal(value.denominator)
     # The fraction string and the quotient share one conversion of each operand.
     result = {"probability": f"{num}/{den}"}

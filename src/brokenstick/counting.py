@@ -5,7 +5,8 @@ other and the closed forms:
 
 * ``count_constrained``: exhaustive search over ordered integer
   solutions of the window-inequality system with a given total.  The
-  one backtracking search behind it counts a whole range of totals in
+  one search behind it walks the tree of prefixes one slot at a time,
+  a block of numpy rows per step, and counts a whole range of totals in
   one pass, counting the last slot's admissible values as one run, so
   ``verify --suite lemma1`` walks each prefix once for all its totals.
 * ``count_restricted`` / ``series_coefficients``: classical coin-style
@@ -31,6 +32,8 @@ from math import comb, e, factorial, lcm, log2, prod
 from operator import add
 from typing import Iterable, Literal
 
+import numpy as np
+
 from .genfib import parts_multiset
 from .omega import ClosedProduct
 from .probability import ProblemSpec, ResourceLimitError
@@ -47,12 +50,26 @@ __all__ = [
 Positivity = Literal["nonneg", "positive"]
 
 # Exhaustive search refuses a range of totals whose estimated search
-# nodes exceed this; see _search_nodes.  A node took 2.4-3.6 us on a
-# 2-core host, so the cap sits near 10 s.
+# nodes exceed this; see _search_nodes.  On a 2-core host the largest
+# totals served at (3, 3), (3, 20), (4, 60), (8, 30) and (12, 12) took
+# 0.04-0.25 s.  Each window slack a prefix carries adds to a node's cost:
+# (250, 500, 85), 249 slacks per prefix, took 2.4-3.2 s.
 _NODE_CAP = 4_000_000
-# It recurses once per piece, so it refuses n past half of CPython's
-# default recursion limit of 1000, leaving the rest to its callers.
+# The walk recurses at most once per slot, from a block whose children it
+# splits, so it refuses n past half of CPython's default recursion limit
+# of 1000, leaving the rest to its callers.
 _MAX_DEPTH = 500
+# A block of the walk holds at most this many int64 entries, one per bound
+# on the next value for each prefix, and at least one prefix.  Smaller
+# blocks pay the fixed numpy cost per slot more often: at 2^14 entries
+# (250, 500, 85) took twice as long and (8, 30, 163) 1.5 times; at 2^17
+# the traced peak at (12, 12, 90) doubled to 22 MiB.
+_BLOCK = 1 << 16
+# The slack of a window that is not open, past every cap.  The node cap
+# bounds every total served far below 2^62 (below 4 * 10^4 for n <= 500,
+# where t^(n-1) / (n! (n-1)!) passes it), so no entry, even this one less
+# a total, overflows int64, and no count passes the node estimate.
+_NO_WINDOW = 1 << 62
 
 # The coin-change DP adds one int per cell, a (part p, total s) pair
 # with p <= s <= n_max, and keeps n_max + 1 ints.  On a 2-core host it
@@ -77,18 +94,18 @@ _HERMITE_MAX_BITS = 1_200_000
 
 
 def _search_nodes(spec: ProblemSpec, t_min: int, t_max: int) -> int:
-    # Search nodes that _constrained_counts visits for totals t_min..t_max,
-    # estimated as the larger of two counts.  The first puts 2n - k - 1
-    # nodes on each solution: its leaf has n - 1 ancestors, and the
-    # windows add dead ends that the bound on the remaining total does
-    # not see.  From (3, 3) to (12, 12) and (3, 40), totals up to 3000,
-    # the nodes visited were 0.3-1.2 times that count.  The solutions come
-    # from the coin DP over parts_multiset(k, n), stopped once past the
-    # cap.  The second, the leading term t^(n-1) / (n! (n-1)!) of the
-    # partitions of t into n parts, was the estimate alone before; it
-    # undercounted the nodes 8-fold at (12, 12, 95), 43-fold at (3, 20,
-    # 130) and 1750-fold at (3, 20, 100), and it is kept so that no total
-    # it refused is served now.
+    # Nodes that _walk visits for totals t_min..t_max (the root and every
+    # prefix it expands), estimated as the larger of two counts.  The
+    # first puts 2n - k - 1 nodes on each solution: its leaf has n - 1
+    # ancestors, and the windows add dead ends that the bound on the
+    # remaining total does not see.  From (3, 3) to (12, 12) and (3, 40),
+    # totals up to 3000, the nodes visited were 0.3-1.2 times that count.
+    # The solutions come from the coin DP over parts_multiset(k, n),
+    # stopped once past the cap.  The second, the leading term
+    # t^(n-1) / (n! (n-1)!) of the partitions of t into n parts, was the
+    # estimate alone before; it undercounted the nodes 8-fold at (12, 12,
+    # 95), 43-fold at (3, 20, 130) and 1750-fold at (3, 20, 100), and it
+    # is kept so that no total it refused is served now.
     k, n = spec.k, spec.n
     denom = factorial(n) * factorial(n - 1)
     partitions = sum(t ** (n - 1) // denom for t in range(t_min, t_max + 1))
@@ -109,12 +126,7 @@ def _constrained_counts(
     spec: ProblemSpec, t_min: int, t_max: int, positivity: Positivity
 ) -> list[int]:
     # Counts of the window system's solutions at each total t_min..t_max,
-    # by one backtracking pass: slot pos takes values largest first,
-    # capped by the slot before it, by t_max less the floors still to
-    # come and by every window whose small side holds pos; it is at
-    # least what reaches t_min when each later slot repeats its value.
-    # The last slot's admissible values are one contiguous range, so it
-    # adds a run to a difference array instead of recursing per value.
+    # by one walk over the tree of prefixes; see _walk.
     k, n = spec.k, spec.n
     if n > _MAX_DEPTH:
         raise ResourceLimitError(
@@ -127,30 +139,92 @@ def _constrained_counts(
             f"{totals} with n={n} needs about {estimate} search nodes (limit {_NODE_CAP})"
         )
     lo = 1 if positivity == "positive" else 0
-    vals = [0] * n
-    # pre[i] is vals[0] + ... + vals[i - 1]
-    pre = [0] * (n + 1)
-    runs = [0] * (t_max - t_min + 2)
+    runs = np.zeros(t_max - t_min + 2, np.int64)
+    # the empty prefix, under no window yet; at most this many are open at once
+    windows = min(k - 1, n - k + 1)
+    root = np.array([[t_max - lo * (n - 1)], [t_max]] + [[_NO_WINDOW]] * windows, np.int64)
+    _walk(root, 0, spec, lo, t_min, t_max, runs)
+    return np.cumsum(runs[:-1]).tolist()
 
-    def rec(pos: int, prev: int) -> None:
-        used = pre[pos]
+
+def _walk(
+    frontier: np.ndarray, pos: int, spec: ProblemSpec, lo: int, t_min: int, t_max: int,
+    runs: np.ndarray,
+) -> None:
+    # Walks a block of prefixes that end before slot pos, and the subtree
+    # below it, one slot per step.  Each column of frontier is one prefix,
+    # and each row one bound on its next value: row 0 is the room left
+    # below t_max once every later slot takes lo, row 1 the last value,
+    # and each row after that the slack of one open window s, a_s less
+    # the later pieces already placed in it and less lo for each of its
+    # slots still to come.  So the value at pos is at most the least entry
+    # of its column, and above `short`, the largest value from which every
+    # later slot repeating it still falls short of t_min.  The last slot's
+    # values are one run per prefix, added to the difference array runs.
+    # A block whose children pass one block hands them on one block at a
+    # time, recursing, and returns; otherwise its children replace it, so
+    # the walk holds at most one parent block per slot.
+    n = spec.n
+    per_block = max(1, _BLOCK // len(frontier))
+    while True:
         slots_after = n - pos - 1
-        hi = min(prev, t_max - used - lo * slots_after)
-        for s in range(max(0, pos - k + 1), min(pos - 1, n - k) + 1):
-            hi = min(hi, vals[s] - (used - pre[s + 1]) - lo * (s + k - 1 - pos))
-        lo_here = max(lo, -((used - t_min) // (slots_after + 1)))
+        cap = frontier.min(axis=0)
+        # short = ceil((t_min - used) / (slots_after + 1)) - 1, for used the
+        # prefix's total, which is t_max - lo * slots_after - frontier[0]
+        below_min = frontier[0] + (t_min - t_max + lo * slots_after - 1)
+        short = np.maximum(below_min // (slots_after + 1), lo - 1)
         if slots_after == 0:
-            if lo_here <= hi:
-                runs[used + lo_here - t_min] += 1
-                runs[used + hi + 1 - t_min] -= 1
+            # the run's ends as offsets from t_min; a prefix with no value
+            # left gets a run of length 0
+            past = (t_max - t_min + 1) - frontier[0]
+            start = past + short
+            runs += np.bincount(start, minlength=len(runs))
+            runs -= np.bincount(np.maximum(past + cap, start), minlength=len(runs))
             return
-        for v in range(hi, lo_here - 1, -1):
-            vals[pos] = v
-            pre[pos + 1] = used + v
-            rec(pos + 1, v)
+        counts = cap - short
+        np.maximum(counts, 0, out=counts)
+        ends = np.add.accumulate(counts)
+        total = int(ends[-1])
+        if total == 0:
+            return
+        # child j of the block, counted from 1, takes the value j - shift[parent]
+        shift = ends - cap
+        if total <= per_block:
+            parent = np.repeat(np.arange(len(counts)), counts)
+            v = np.arange(1, total + 1) - shift[parent]
+            frontier = _children(frontier, parent, v, pos, spec, lo)
+            pos += 1
+            continue
+        # only frontier, ends and shift are kept while the children are walked
+        del cap, short, counts
+        for first in range(1, total + 1, per_block):
+            j = np.arange(first, min(first + per_block, total + 1))
+            parent = np.searchsorted(ends, j)
+            _walk(_children(frontier, parent, j - shift[parent], pos, spec, lo),
+                  pos + 1, spec, lo, t_min, t_max, runs)
+        return
 
-    rec(0, t_max)
-    return list(accumulate(runs[:-1]))
+
+def _children(
+    frontier: np.ndarray, parent: np.ndarray, v: np.ndarray, pos: int, spec: ProblemSpec,
+    lo: int,
+) -> np.ndarray:
+    # The prefixes frontier[:, parent] extended by the values v at slot pos:
+    # every bound drops by v less lo and the last value becomes v.  Window
+    # s sits in row 2 + s mod w, w the rows left for windows, so window
+    # pos opens (with slack v less lo for each of its k - 2 later slots)
+    # in the row of the window that closes at pos, if any.  Past slot
+    # n - k no window opens, and the closing window's row bounds nothing.
+    k, n = spec.k, spec.n
+    child = frontier.take(parent, axis=1)
+    child -= v - lo
+    child[1] = v
+    windows = len(frontier) - 2
+    if pos <= n - k:
+        child[2 + pos % windows] = v - (k - 2) * lo
+    elif pos >= k - 1:
+        child[2 + (pos - k + 1) % windows] = _NO_WINDOW
+    return child
 
 
 def count_constrained(
@@ -163,17 +237,20 @@ def count_constrained(
     Vectors (a_1 >= a_2 >= ... >= a_n) with every a_i >= 0 (or >= 1 for
     ``positivity="positive"``), total exactly ``n_value``, and every
     window inequality a_i >= a_{i+1} + ... + a_{i+k-1}.  One
-    backtracking search, shared with ``verify --suite lemma1``, which
-    asks it for a whole range of totals in one pass: each slot's
-    candidate values, largest first, with total and window pruning on
-    running prefix sums, and the last slot counted as one run of values
-    rather than one value at a time.
+    exhaustive search, shared with ``verify --suite lemma1``, which asks
+    it for a whole range of totals in one pass.  It walks the prefixes
+    slot by slot, a block of numpy rows at a time: each slot's value is
+    capped by the slot before, by the total and by every open window,
+    and floored by what still reaches the total, and the last slot adds
+    one run of values per prefix.
 
-    Raises ``ResourceLimitError`` for n > 500, since the search recurses
-    once per piece, and when it would visit more than 4 * 10^6 nodes
-    (about 10 s) by the estimate: the larger of the partition count
+    Raises ``ResourceLimitError`` for n > 500, since the walk may recurse
+    once per piece, and when it would visit more than 4 * 10^6 nodes by
+    the estimate: the larger of the partition count
     n_value^(n-1) / (n! (n-1)!) and 2n - k - 1 nodes per solution, the
-    solutions counted by the partition DP over ``parts_multiset``.
+    solutions counted by the partition DP over ``parts_multiset``.  The
+    largest totals served took 0.04-0.25 s on a 2-core host for k <= 12,
+    and up to about 3 s at (250, 500), whose prefixes carry 249 windows.
     """
     if n_value < 0:
         raise ValueError(f"total must be nonnegative, got {n_value}")

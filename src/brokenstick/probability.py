@@ -41,12 +41,14 @@ every n <= 127437 is served, for k = 1000 every n <= 2018.
 
 Cost of ``prob_ngon``: 1 - n / 2^(n-1) takes O(n) bit operations, 0.2 s
 at n = 3.3 * 10^7, but its numerator and denominator have about 0.3 n
-decimal digits each, and the CLI prints both.  Rendering them costs
-O(M(d) log d) for d digits, about 0.25 s per 10^6 n on a 2-core host,
-and libmpdec's transform length doubles just past n = 3.31 * 10^7: end
-to end, ``prob ngon`` took 6.8-8.7 s at n = 3.2-3.3 * 10^7 and 11-13 s
-at 3.4 * 10^7.  Past n = 3.3 * 10^7 it raises ``ResourceLimitError``
-before it builds 2^(n-1).
+decimal digits each, and the CLI prints both.  Rendering one costs
+O(M(d) log d) for d digits, and libmpdec's transform length doubles
+just past n = 3.31 * 10^7.  The CLI renders the denominator 2^(n-1) and
+takes the numerator from it by one exact subtraction of n / 2^s, for
+2^s the power of two in n: end to end on a 2-core host, ``prob ngon``
+took 2.6-2.8 s at n = 3.3 * 10^7, where rendering both operands took
+7.6-10 s.  Past n = 3.3 * 10^7 it raises ``ResourceLimitError`` before
+it builds 2^(n-1).
 """
 
 from __future__ import annotations

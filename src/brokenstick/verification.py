@@ -40,9 +40,9 @@ __all__ = [
 # 0..T per (k, n).  It estimates t^(n-1) / (n! (n-1)!) nodes at total t,
 # which sum to under (T+1)^n / (n n! (n-1)!) over totals 0..T.  The
 # estimate grows faster in T than the search does; on a 2-core host the
-# default grid took 1.2 s at T = 60 (0.89 M estimated nodes) and 2.8 s
-# at 75 (3.6 M).  The limit sits where a search per total took about
-# 10 s, so that the totals served do not move.
+# default grid took 16 ms at T = 60 (0.89 M estimated nodes) and 51 ms
+# at 75 (3.6 M).  The limit sits where an earlier, recursive search took
+# about 10 s per total, so that the totals served do not move.
 _LEMMA1_MAX_NODES = 3_700_000
 
 # suite_hermite's cost is its composition DP: about 3 n t^2 / 8 additions

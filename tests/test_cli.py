@@ -31,6 +31,7 @@ from brokenstick import (
     parts_multiset,
     prob_exists,
     prob_forall,
+    prob_ngon,
     prob_none,
     probability,
     verification,
@@ -207,6 +208,15 @@ def test_prob_ngon_needs_no_k(capsys):
     code, _, err = run_cli(capsys, "prob", "ngon", "--k", "3", "--n", "4")
     assert code == 3
     assert "ngon" in err
+
+
+def test_prob_ngon_numerator_matches_the_fraction(capsys):
+    # the CLI takes the numerator as the denominator less n / 2^s, for 2^s
+    # the power of two in n; odd n, powers of two and mixed n
+    for n in (3, 5, 6, 8, 12, 1024, 1536, 4097, 14000):
+        value = prob_ngon(n)
+        record = run_json(capsys, "prob", "ngon", "--n", str(n))
+        assert record["result"]["probability"] == f"{value.numerator}/{value.denominator}", n
 
 
 def test_prob_exists_and_forall(capsys):
@@ -434,7 +444,8 @@ def test_prob_none_refuses_denominators_past_bound(capsys):
 
 
 def test_prob_ngon_refuses_n_past_bound(capsys):
-    # served, the request would print two 10^7-digit ints for over 10 s
+    # served, the request would print two 10^7-digit ints, past the size
+    # where libmpdec's transform length doubles
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "prob", "ngon", "--n", str(_PROB_NGON_MAX_N + 1))
     assert time.perf_counter() - start < 1

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -134,24 +133,82 @@ def test_node_estimate_refuses_slow_searches_before_searching(k, n, total):
     assert time.perf_counter() - start < 1
 
 
-def test_node_estimate_tracks_nodes_visited():
-    # nodes the search visits against the estimate, across n and k
+def test_node_estimate_tracks_nodes_visited(monkeypatch):
+    # nodes the walk visits (the root and every prefix it builds) against
+    # the estimate, across n and k
+    expand = counting._children
     for k, n, total in [(3, 3, 300), (4, 8, 60), (5, 10, 40), (12, 12, 40), (3, 20, 60)]:
         spec = ProblemSpec(k, n)
-        visited = 0
+        visited = 1
 
-        def count_node(frame, event, arg):
+        def count_prefixes(frontier, parent, *args):
             nonlocal visited
-            if event == "call" and frame.f_code.co_name == "rec":
-                visited += 1
+            visited += len(parent)
+            return expand(frontier, parent, *args)
 
-        sys.setprofile(count_node)
-        try:
-            counting._constrained_counts(spec, total, total, "nonneg")
-        finally:
-            sys.setprofile(None)
+        monkeypatch.setattr(counting, "_children", count_prefixes)
+        counting._constrained_counts(spec, total, total, "nonneg")
         estimate = counting._search_nodes(spec, total, total)
         assert 0.3 * estimate <= visited <= 1.2 * estimate, (k, n, total, visited, estimate)
+
+
+@pytest.mark.parametrize("positivity", ["nonneg", "positive"])
+def test_walk_blocks_match_naive(monkeypatch, positivity):
+    # blocks of 1, 2 and 3 prefixes split the children of nearly every
+    # block, one prefix's values among them, across blocks; the default
+    # splits none here, and at (3, 3, 1000) it splits the second slot's
+    want = {
+        (k, n): [naive_constrained(k, n, t, positivity == "positive") for t in range(13)]
+        for k in (3, 4, 5)
+        for n in range(k, k + 4)
+    }
+    default = counting._BLOCK
+    for prefixes in (1, 2, 3, None):
+        for (k, n), counts in want.items():
+            # a prefix takes one entry per bound: the total, the last
+            # value and each window that can be open at once
+            height = 2 + min(k - 1, n - k + 1)
+            block = default if prefixes is None else prefixes * height
+            monkeypatch.setattr(counting, "_BLOCK", block)
+            spec = ProblemSpec(k, n)
+            assert counting._constrained_counts(spec, 0, 12, positivity) == counts, (block, k, n)
+            for t in (0, 1, 6, 12):
+                assert counting._constrained_counts(spec, t, t, positivity) == [counts[t]]
+    # at (3, 3) the one window reads a_1 >= a_2 + a_3, so a_2 + a_3 <= 500
+    lo = 1 if positivity == "positive" else 0
+    want = sum(1 for a3 in range(lo, 501) for a2 in range(a3, 501 - a3))
+    assert counting._constrained_counts(ProblemSpec(3, 3), 1000, 1000, positivity) == [want]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.data(),
+    st.integers(min_value=3, max_value=5),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(["nonneg", "positive"]),
+)
+def test_constrained_counts_match_naive(data, k, extra, positivity):
+    b = data.draw(st.integers(min_value=0, max_value=12), label="b")
+    a = data.draw(st.integers(min_value=0, max_value=b), label="a")
+    want = [naive_constrained(k, k + extra, t, positivity == "positive") for t in range(a, b + 1)]
+    assert counting._constrained_counts(ProblemSpec(k, k + extra), a, b, positivity) == want
+
+
+@pytest.mark.parametrize(
+    "k, n, total, nonneg, positive",
+    [(3, 20, 140, 110324, 0), (12, 12, 90, 293184, 47745)],
+)
+def test_walk_memory_stays_small_at_served_points(k, n, total, nonneg, positive):
+    # two of the largest served points, where the walk visits millions of
+    # nodes; the counts are the recursive search's that the walk replaced
+    tracemalloc.start()
+    try:
+        got = [count_constrained(ProblemSpec(k, n), total, p) for p in ("nonneg", "positive")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [nonneg, positive]
+    assert peak < 32 << 20
 
 
 def test_constrained_domain_errors():
