@@ -22,14 +22,22 @@ where splitmix64 is the usual xor-shift finalizer.  Blocks therefore
 never share a stream, and each block can be reproduced in isolation.
 Version 0.1.0 drew uniform cuts.
 
-A block draws its slabs of max(1, 2^17 // n) trials into one reused
-float64 buffer of 1 MiB, which stays in a core's cache; "forall" and
-"ngon" add one slab of running sums, so a block holds about 2 MiB
-whatever its trial count.  "none" and "exists" check window 0 on the
-whole slab and each later window only while some row is left
-undecided; at n well above k that ends after a window or two.  n itself
-is capped at 2^22.  PCG64 fills rows one after another, so hits do not
-depend on the slab size.
+A run draws its slabs of max(1, 2^17 // n) trials, block after block,
+into two reused float64 buffers of 1 MiB, which stay in a core's cache;
+"forall" and "ngon" write their running sums over the sorted slab, so a
+run holds about 2 MiB whatever its trial count.  While the caller sorts
+and masks one slab, a helper thread draws the next into the other
+buffer; numpy releases the GIL in all three, so on two cores the draw,
+over half of a slab's time at n >= 20, runs beside the rest.  A draw
+the helper has not begun when the caller is ready for it, as when the
+second core is busy, the caller makes itself.  A run of one slab, of
+slabs under 2^15 floats, or in a process that may use one CPU only
+stays on the caller's thread.  "none" and "exists" check
+window 0 on the whole slab and each later window only while some row is
+left undecided; at n well above k that ends after a window or two.  n
+itself is capped at 2^22.  PCG64 fills rows one after another and each
+block keeps its own generator, so hits depend neither on the slab size
+nor on which thread draws.
 
 Cost model: a run costs trials * n + 1000 * min(chunks, trials)
 trial-pieces, since only the first min(chunks, trials) blocks are
@@ -39,8 +47,11 @@ raises ``ResourceLimitError`` when it is built, before any draw.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
-from math import sqrt
+from itertools import chain, islice
+from math import inf, sqrt
 
 import numpy as np
 
@@ -67,11 +78,23 @@ MODES = ("none", "exists", "forall", "ngon")
 _SLAB_FLOATS = 1 << 17
 _MAX_N = 1 << 22
 
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# Smallest slab, in floats, whose draws go to a helper thread (see the
+# module docstring); none do where this process may use one CPU only.
+# Runs of eight one-slab blocks on a 2-core host: with the second core
+# free, handing off lost up to 46% at 2^13 floats (starting the helper
+# and the hand-offs cost 0.2-0.4 ms) and won up to 45% at 2^15 to 2^17
+# for n >= 30; with it busy, it lost 21-32% at 2^11 and 3-6% at 2^15.
+_HANDOFF_FLOATS = 1 << 15 if _CPUS > 1 else inf
+
 # Cost model in trial-pieces (see the module docstring).  On a 2-core
 # host the kernel did 33-43 M trial-pieces/s at n = 3 (35 M/s over a
 # whole run at the limit) and 78-138 M/s at n = 50, and a block cost
 # 17-26 us, at most about 900 trial-pieces at the slowest rate, so
-# _MAX_WORK is about 5 s at n = 3 (4.1-4.4 s measured).
+# _MAX_WORK is about 5 s at n = 3 (4.1-4.4 s measured).  Those rates are
+# on one thread: the helper's draws make large runs faster only while a
+# second core is free, and with it busy a run costs up to about 15% more.
 _BLOCK_WORK = 1_000
 _MAX_WORK = 150_000_000
 
@@ -137,16 +160,17 @@ class SimResult:
     chunks: int
 
 
-def _hit_mask(mode: str, k: int, pieces: np.ndarray) -> np.ndarray:
+def _hit_mask(mode: str, k: int, pieces: np.ndarray, overwrite: bool = False) -> np.ndarray:
     # pieces: (rows, n), each row sorted decreasing; S is the running sum
     # along a row (np.add.accumulate: cumsum without its wrapper's cost).
     # Window i of "none" holds piece i against S[i + k - 1] - S[i], the
     # sum of its other k - 1 pieces; "forall" holds the largest piece
-    # against the k - 1 smallest.
+    # against the k - 1 smallest.  With overwrite, "forall" writes S over
+    # pieces (whose column 0 S keeps) instead of allocating a slab for it.
     n = pieces.shape[1]
     if mode in ("forall", "ngon"):
-        sums = np.add.accumulate(pieces, axis=1)
-        return pieces[:, 0] < sums[:, -1] - sums[:, n - k]
+        sums = np.add.accumulate(pieces, axis=1, out=pieces if overwrite else None)
+        return sums[:, 0] < sums[:, -1] - sums[:, n - k]
     # Windows one at a time, each adding one column of S, until no row is
     # left: the additions a whole-row cumsum makes, so the same bits.
     head = np.add.accumulate(pieces[:, :k], axis=1)  # S[0 .. k - 1]
@@ -162,21 +186,82 @@ def _hit_mask(mode: str, k: int, pieces: np.ndarray) -> np.ndarray:
     return none if mode == "none" else ~none
 
 
-def _run_block(mode: str, k: int, n: int, block_trials: int, block_seed: int) -> int:
-    rng = np.random.default_rng(block_seed)
-    slab_rows = max(1, _SLAB_FLOATS // n)
-    # Every slab of the block is drawn into this buffer, which
-    # standard_exponential fills with the stream it would return as a
-    # new array.
-    draws = np.empty((min(slab_rows, block_trials), n))
-    hits = 0
-    for start in range(0, block_trials, slab_rows):
-        rows = min(slab_rows, block_trials - start)
-        pieces = draws[:rows]
-        rng.standard_exponential(out=pieces)
-        pieces.sort(axis=1)
-        hits += int(np.count_nonzero(_hit_mask(mode, k, pieces[:, ::-1])))
-    return hits
+def _slab_hits(mode: str, k: int, draws: np.ndarray) -> int:
+    # Sorts and masks one slab of draws in place.
+    draws.sort(axis=1)
+    return int(np.count_nonzero(_hit_mask(mode, k, draws[:, ::-1], overwrite=True)))
+
+
+def _slabs(blocks, slab_rows: int):
+    # (generator, rows) for every slab of the run, in block order.
+    for block_trials, block_seed in blocks:
+        rng = np.random.default_rng(block_seed)
+        for start in range(0, block_trials, slab_rows):
+            yield rng, min(slab_rows, block_trials - start)
+
+
+def _run_blocks(mode: str, k: int, n: int, blocks) -> int:
+    """Hits of the blocks, (trials, seed) pairs in order, none larger than the first."""
+    blocks = iter(blocks)
+    head = list(islice(blocks, 2))
+    slab_rows = min(max(1, _SLAB_FLOATS // n), head[0][0])
+    one_slab = len(head) == 1 and head[0][0] == slab_rows
+    slabs = _slabs(chain(head, blocks), slab_rows)
+    # Every slab is drawn into a reused buffer, which standard_exponential
+    # fills with the stream it would return as a new array.
+    buffer = np.empty((slab_rows, n))
+    if one_slab or slab_rows * n < _HANDOFF_FLOATS:
+        hits = 0
+        for rng, rows in slabs:
+            pieces = buffer[:rows]
+            rng.standard_exponential(out=pieces)
+            hits += _slab_hits(mode, k, pieces)
+        return hits
+    return _overlapped_hits(mode, k, slabs, (buffer, np.empty_like(buffer)))
+
+
+def _overlapped_hits(mode: str, k: int, slabs, buffers) -> int:
+    # A helper thread draws slab i + 1 into one buffer while the caller
+    # sorts and masks slab i in the other; numpy releases the GIL in all
+    # three.  The caller walks the slabs, so each block's generator is
+    # made on its thread, and posts each draw on `todo` with a lock:
+    # whichever thread takes the lock first draws the slab, so with the
+    # second core busy the caller draws it rather than wait.  The helper
+    # answers each draw it takes on `drawn` with None or its error.  Only
+    # such runs import queue, which costs every CLI start about 1 ms.
+    from queue import SimpleQueue
+
+    todo, drawn = SimpleQueue(), SimpleQueue()
+
+    def draw() -> None:
+        while (task := todo.get()) is not None:
+            claim, rng, pieces = task
+            if claim.acquire(blocking=False):
+                try:
+                    rng.standard_exponential(out=pieces)
+                except BaseException as exc:  # raised on the caller's thread
+                    drawn.put(exc)
+                else:
+                    drawn.put(None)
+
+    helper = threading.Thread(target=draw, name="brokenstick-draws")
+    helper.start()
+    hits, last = 0, None
+    try:
+        for i, (rng, rows) in enumerate(slabs):
+            claim, pieces = threading.Lock(), buffers[i % 2][:rows]
+            todo.put((claim, rng, pieces))
+            if last is not None:
+                hits += _slab_hits(mode, k, last)
+            if claim.acquire(blocking=False):
+                rng.standard_exponential(out=pieces)
+            elif (error := drawn.get()) is not None:
+                raise error
+            last = pieces
+        return hits + _slab_hits(mode, k, last)
+    finally:
+        todo.put(None)
+        helper.join()
 
 
 def estimate(config: SimConfig) -> SimResult:
@@ -184,10 +269,11 @@ def estimate(config: SimConfig) -> SimResult:
     n = config.spec.n
     k = n if config.mode == "ngon" else config.spec.k
     base, extra = divmod(config.trials, config.chunks)
-    hits = sum(
-        _run_block(config.mode, k, n, base + (b < extra), _chunk_seed(config.seed, b))
+    blocks = (
+        (base + (b < extra), _chunk_seed(config.seed, b))
         for b in range(min(config.chunks, config.trials))
     )
+    hits = _run_blocks(config.mode, k, n, blocks)
     p = hits / config.trials
     return SimResult(
         hits=hits,

@@ -624,7 +624,7 @@ def _no_draws(monkeypatch):
     def fail(*args):
         raise AssertionError("a refused request drew trials")
 
-    monkeypatch.setattr(montecarlo, "_run_block", fail)
+    monkeypatch.setattr(montecarlo, "_run_blocks", fail)
 
 
 def test_simulate_refuses_work_past_bound(capsys, monkeypatch):
@@ -654,7 +654,7 @@ def test_verify_montecarlo_refuses_work_past_bound(capsys, monkeypatch):
 
 def test_verify_montecarlo_bounds_the_suite_total(capsys, monkeypatch):
     # the seven cases have 33 pieces in all, and each runs DEFAULT_CHUNKS blocks
-    monkeypatch.setattr(montecarlo, "_run_block", lambda *args: 0)
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: 0)
     trials = (_MAX_WORK - 7 * DEFAULT_CHUNKS * _BLOCK_WORK) // 33
     code, out, err = run_cli(capsys, "verify", "--suite", "montecarlo", "--trials", str(trials + 1))
     assert (code, out) == (3, "")

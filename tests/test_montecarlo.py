@@ -1,7 +1,10 @@
 """Simulation machinery: reproducibility, predicates, and sanity of estimates."""
 
+import sys
+import threading
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,7 +23,7 @@ from brokenstick import (
     prob_none,
 )
 from brokenstick import montecarlo
-from brokenstick.montecarlo import MODES, _chunk_seed, _run_block
+from brokenstick.montecarlo import MODES, _chunk_seed, _run_blocks
 
 
 # Scalar replay oracle: one trial at a time, the events written as
@@ -151,7 +154,7 @@ def test_vectorized_blocks_match_scalar_predicates(monkeypatch, k, n, mode, slab
     trials = 2000
     seed = _chunk_seed(DEFAULT_SEED, n)
     block_k = n if mode == "ngon" else k
-    hits = _run_block(mode, block_k, n, trials, seed)
+    hits = _run_blocks(mode, block_k, n, [(trials, seed)])
     rng = np.random.default_rng(seed)
     expected = sum(scalar_hit(mode, break_stick(n, rng), k) for _ in range(trials))
     assert hits == expected
@@ -246,13 +249,13 @@ def test_empty_blocks_cost_nothing():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_block_memory_is_a_few_slabs(mode):
-    # a block reuses one slab buffer, so its peak stays near a slab however
-    # many trials it holds; 10^5 trials of 50 pieces in one array would
-    # take 38 MiB
+    # a block reuses two slab buffers, so its peak stays near two slabs
+    # however many trials it holds; 10^5 trials of 50 pieces in one array
+    # would take 38 MiB
     k, n = 5, 50
     tracemalloc.start()
     try:
-        _run_block(mode, n if mode == "ngon" else k, n, 100_000, _chunk_seed(DEFAULT_SEED, 0))
+        _run_blocks(mode, n if mode == "ngon" else k, n, [(100_000, _chunk_seed(DEFAULT_SEED, 0))])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -261,16 +264,205 @@ def test_block_memory_is_a_few_slabs(mode):
     assert peak < 3 * 8 * montecarlo._SLAB_FLOATS, peak
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_run_memory_is_a_few_slabs(mode):
+    # the whole run, helper thread included (tracemalloc sees every
+    # thread), in one block of about 38 slabs
+    config = SimConfig(spec=ProblemSpec(5, 50), mode=mode, trials=100_000, chunks=1)
+    tracemalloc.start()
+    try:
+        estimate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * montecarlo._SLAB_FLOATS, peak
+
+
+def test_hit_mask_overwrite_keeps_the_mask():
+    # forall's running sums written over the pieces give the same mask,
+    # ties included, and leave the largest piece in column 0
+    pieces = np.sort(np.random.default_rng(13).standard_exponential((300, 7)), axis=1)[:, ::-1]
+    pieces[:3] = [[4, 2, 1, 0.5, 0.25, 0.125, 0.125], [1] * 7, [3, 1, 1, 1, 1, 0.5, 0.5]]
+    for mode, k in (("forall", 3), ("forall", 5), ("ngon", 7)):
+        scratch = pieces.copy()
+        mask = montecarlo._hit_mask(mode, k, scratch, overwrite=True)
+        assert np.array_equal(mask, montecarlo._hit_mask(mode, k, pieces)), (mode, k)
+        assert np.array_equal(scratch[:, 0], pieces[:, 0])
+
+
+def _spy_overlapped(monkeypatch):
+    runs = []
+    overlapped = montecarlo._overlapped_hits
+
+    def spy(*args):
+        runs.append(None)
+        return overlapped(*args)
+
+    monkeypatch.setattr(montecarlo, "_overlapped_hits", spy)
+    return runs
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("chunks", [1, 3])
+@pytest.mark.parametrize(
+    "k, n, trials, slab_rows", [(3, 6, 50_000, None), (5, 50, 20_000, None), (4, 9, 2_000, 7)]
+)
+def test_handoff_does_not_change_hits(monkeypatch, mode, chunks, k, n, trials, slab_rows):
+    # every run here has more than one slab, so forcing the hand-off on
+    # sends each of its slabs' draws to the helper; slab_rows = 7 makes
+    # about 100 to 300 slabs per block, and each block starts a generator
+    if slab_rows is not None:
+        monkeypatch.setattr(montecarlo, "_SLAB_FLOATS", slab_rows * n)
+    runs = _spy_overlapped(monkeypatch)
+    config = SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, seed=31, chunks=chunks)
+    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", float("inf"))
+    serial = estimate(config)
+    assert runs == []
+    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", 0)
+    assert estimate(config) == serial
+    assert len(runs) == 1
+
+
+def _helpers():
+    return [t for t in threading.enumerate() if t is not threading.main_thread()]
+
+
+def test_no_thread_outlives_estimate(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", 0)
+    runs = _spy_overlapped(monkeypatch)
+    before = _helpers()
+    config = SimConfig(spec=ProblemSpec(5, 50), mode="none", trials=20_000, chunks=2)
+    estimate(config)
+    assert len(runs) == 1 and _helpers() == before
+    # a mask that fails mid-run: the error reaches the caller and the
+    # helper, which may be drawing the next slab, is joined first
+    calls = []
+    hit_mask = montecarlo._hit_mask
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("mask failed")
+        return hit_mask(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_hit_mask", failing)
+    with pytest.raises(RuntimeError, match="mask failed"):
+        estimate(config)
+    assert len(calls) == 3 and _helpers() == before
+    monkeypatch.setattr(montecarlo, "_hit_mask", hit_mask)
+    # a draw that fails on the helper is raised on the caller's thread; a
+    # slow mask leaves the helper time to take the draws posted to it
+    _slow_masks(monkeypatch, every=1)
+
+    def fail():
+        raise RuntimeError("draw failed")
+
+    monkeypatch.setattr(np.random, "default_rng", _counted_generators(fail)[0])
+    with pytest.raises(RuntimeError, match="draw failed"):
+        estimate(config)
+    assert len(runs) == 3 and _helpers() == before
+
+
+def _slow_masks(monkeypatch, every):
+    # every `every`-th slab's sort and mask waits 1 ms first
+    slab_hits, calls = montecarlo._slab_hits, []
+
+    def slow(*args):
+        calls.append(None)
+        if len(calls) % every == 0:
+            time.sleep(0.001)
+        return slab_hits(*args)
+
+    monkeypatch.setattr(montecarlo, "_slab_hits", slow)
+
+
+def _counted_generators(on_helper=None):
+    # default_rng whose generators count their draws by thread (True for
+    # the helper) and call on_helper before each draw off the main thread
+    default_rng, draws = np.random.default_rng, Counter()
+
+    class Generator:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_exponential(self, out):
+            helper = threading.current_thread() is not threading.main_thread()
+            draws[helper] += 1
+            if helper and on_helper:
+                on_helper()
+            return self.rng.standard_exponential(out=out)
+
+    return Generator, draws
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_draws_on_either_thread_keep_hits(monkeypatch, mode):
+    # the caller draws a slab itself when the helper has not begun it; a
+    # mask that is slow on every other slab lets each thread take some
+    # draws, so blocks mix draws from both
+    monkeypatch.setattr(montecarlo, "_SLAB_FLOATS", 7 * 9)
+    config = SimConfig(spec=ProblemSpec(4, 9), mode=mode, trials=700, seed=37, chunks=3)
+    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", float("inf"))
+    serial = estimate(config)
+    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", 0)
+    _slow_masks(monkeypatch, every=2)
+    generators, draws = _counted_generators()
+    monkeypatch.setattr(np.random, "default_rng", generators)
+    assert estimate(config) == serial
+    assert draws[True] > 0 and draws[False] > 0, draws
+
+
+def test_concurrent_runs_keep_hits(monkeypatch):
+    # four runs at once, each with its own helper: eight threads, more
+    # than the cores, switching often; each run keeps its pinned hits
+    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", 0)
+    monkeypatch.setattr(montecarlo, "_SLAB_FLOATS", 1 << 10)
+    pins = [pin for pin in PINNED if pin[2] <= 12][:4]
+    results = {}
+
+    def run(pin):
+        mode, k, n, trials, seed, chunks, _ = pin
+        config = SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, seed=seed, chunks=chunks)
+        results[pin] = estimate(config).hits
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(pin,)) for pin in pins]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {pin: pin[-1] for pin in pins}
+
+
+@pytest.mark.parametrize(
+    "k, n, trials, chunks", [(3, 3, 5_000, 8), (3, 3, 5_000, 1), (10, 10, 5_000, 1), (6, 8, 5_000, 8)]
+)
+def test_small_runs_start_no_thread(monkeypatch, k, n, trials, chunks):
+    # runs as small as these stay on the caller's thread: a single slab,
+    # or slabs under the hand-off size
+    def fail(*args, **kwargs):
+        raise AssertionError("a small run started a thread")
+
+    monkeypatch.setattr(threading, "Thread", fail)
+    for mode in MODES:
+        estimate(SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, chunks=chunks))
+
+
 def test_slab_size_does_not_change_hits(monkeypatch):
     # slabs only bound memory: a block sliced into slabs of a few rows,
     # or of a single row when the budget is below n, draws the same
     # stream and counts the same hits as one whole-block slab
     k, n, trials = 3, 6, 1000
     seed = _chunk_seed(DEFAULT_SEED, 2)
-    whole = {mode: _run_block(mode, k, n, trials, seed) for mode in MODES}
+    whole = {mode: _run_blocks(mode, k, n, [(trials, seed)]) for mode in MODES}
     for budget in (3 * n + 1, n - 1):
         monkeypatch.setattr(montecarlo, "_SLAB_FLOATS", budget)
-        assert {mode: _run_block(mode, k, n, trials, seed) for mode in MODES} == whole
+        assert {mode: _run_blocks(mode, k, n, [(trials, seed)]) for mode in MODES} == whole
 
 
 def test_estimate_is_deterministic():
