@@ -28,11 +28,9 @@ into two reused float64 buffers of 1 MiB, which stay in a core's cache;
 run holds about 2 MiB whatever its trial count.  While the caller sorts
 and masks one slab, a helper thread draws the next into the other
 buffer; numpy releases the GIL in all three, so on two cores the draw,
-over half of a slab's time at n >= 20, runs beside the rest.  A draw
-the helper has not begun when the caller is ready for it, as when the
-second core is busy, the caller makes itself.  A run of one slab, of
-slabs under 2^15 floats, or in a process that may use one CPU only
-stays on the caller's thread.  "none" and "exists" check
+over half of a slab's time at n >= 20, runs beside the rest.  A run of
+one slab, of slabs under 2^15 floats, or in a process that may use one
+CPU only stays on the caller's thread.  "none" and "exists" check
 window 0 on the whole slab and each later window only while some row is
 left undecided; at n well above k that ends after a window or two.  n
 itself is capped at 2^22.  PCG64 fills rows one after another and each
@@ -50,7 +48,6 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from itertools import chain, islice
 from math import inf, sqrt
 
 import numpy as np
@@ -85,7 +82,7 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 # Runs of eight one-slab blocks on a 2-core host: with the second core
 # free, handing off lost up to 46% at 2^13 floats (starting the helper
 # and the hand-offs cost 0.2-0.4 ms) and won up to 45% at 2^15 to 2^17
-# for n >= 30; with it busy, it lost 21-32% at 2^11 and 3-6% at 2^15.
+# for n >= 30; with it busy, it lost 30-81% at 2^11 and 1-12% at 2^15.
 _HANDOFF_FLOATS = 1 << 15 if _CPUS > 1 else inf
 
 # Cost model in trial-pieces (see the module docstring).  On a 2-core
@@ -165,8 +162,10 @@ def _hit_mask(mode: str, k: int, pieces: np.ndarray, overwrite: bool = False) ->
     # along a row (np.add.accumulate: cumsum without its wrapper's cost).
     # Window i of "none" holds piece i against S[i + k - 1] - S[i], the
     # sum of its other k - 1 pieces; "forall" holds the largest piece
-    # against the k - 1 smallest.  With overwrite, "forall" writes S over
-    # pieces (whose column 0 S keeps) instead of allocating a slab for it.
+    # against the k - 1 smallest.  The slab loops pass overwrite, so
+    # "forall" writes S over pieces (whose column 0 S keeps) instead of
+    # allocating a slab for it; the default leaves pieces intact for
+    # callers that reuse them, as the kernel tests do.
     n = pieces.shape[1]
     if mode in ("forall", "ngon"):
         sums = np.add.accumulate(pieces, axis=1, out=pieces if overwrite else None)
@@ -192,72 +191,61 @@ def _slab_hits(mode: str, k: int, draws: np.ndarray) -> int:
     return int(np.count_nonzero(_hit_mask(mode, k, draws[:, ::-1], overwrite=True)))
 
 
-def _slabs(blocks, slab_rows: int):
-    # (generator, rows) for every slab of the run, in block order.
+def _run_blocks(mode: str, k: int, n: int, blocks: list[tuple[int, int]]) -> int:
+    """Hits of the blocks, (trials, seed) pairs drawn in list order."""
+    slab_rows = min(max(1, _SLAB_FLOATS // n), max(trials for trials, _ in blocks))
+    if slab_rows * n >= _HANDOFF_FLOATS and (len(blocks) > 1 or blocks[0][0] > slab_rows):
+        return _overlapped_hits(mode, k, blocks, np.empty((2, slab_rows, n)))
+    # Every slab is drawn into this buffer, which standard_exponential
+    # fills with the stream it would return as a new array.
+    draws = np.empty((slab_rows, n))
+    hits = 0
     for block_trials, block_seed in blocks:
         rng = np.random.default_rng(block_seed)
         for start in range(0, block_trials, slab_rows):
-            yield rng, min(slab_rows, block_trials - start)
-
-
-def _run_blocks(mode: str, k: int, n: int, blocks) -> int:
-    """Hits of the blocks, (trials, seed) pairs in order, none larger than the first."""
-    blocks = iter(blocks)
-    head = list(islice(blocks, 2))
-    slab_rows = min(max(1, _SLAB_FLOATS // n), head[0][0])
-    one_slab = len(head) == 1 and head[0][0] == slab_rows
-    slabs = _slabs(chain(head, blocks), slab_rows)
-    # Every slab is drawn into a reused buffer, which standard_exponential
-    # fills with the stream it would return as a new array.
-    buffer = np.empty((slab_rows, n))
-    if one_slab or slab_rows * n < _HANDOFF_FLOATS:
-        hits = 0
-        for rng, rows in slabs:
-            pieces = buffer[:rows]
+            pieces = draws[: min(slab_rows, block_trials - start)]
             rng.standard_exponential(out=pieces)
             hits += _slab_hits(mode, k, pieces)
-        return hits
-    return _overlapped_hits(mode, k, slabs, (buffer, np.empty_like(buffer)))
+    return hits
 
 
-def _overlapped_hits(mode: str, k: int, slabs, buffers) -> int:
-    # A helper thread draws slab i + 1 into one buffer while the caller
-    # sorts and masks slab i in the other; numpy releases the GIL in all
-    # three.  The caller walks the slabs, so each block's generator is
-    # made on its thread, and posts each draw on `todo` with a lock:
-    # whichever thread takes the lock first draws the slab, so with the
-    # second core busy the caller draws it rather than wait.  The helper
-    # answers each draw it takes on `drawn` with None or its error.  Only
-    # such runs import queue, which costs every CLI start about 1 ms.
+def _overlapped_hits(mode: str, k: int, blocks: list[tuple[int, int]], buffers: np.ndarray) -> int:
+    # The loop above, with a helper thread drawing slab i + 1 into one
+    # buffer while the caller sorts and masks slab i in the other; numpy
+    # releases the GIL in all three.  The caller walks the slabs, making
+    # each block's generator, posts each draw on `todo` and waits on
+    # `drawn` for None or the helper's error.  Only such runs import
+    # queue, which costs every CLI start about 1 ms.
     from queue import SimpleQueue
 
     todo, drawn = SimpleQueue(), SimpleQueue()
 
     def draw() -> None:
         while (task := todo.get()) is not None:
-            claim, rng, pieces = task
-            if claim.acquire(blocking=False):
-                try:
-                    rng.standard_exponential(out=pieces)
-                except BaseException as exc:  # raised on the caller's thread
-                    drawn.put(exc)
-                else:
-                    drawn.put(None)
+            rng, pieces = task
+            try:
+                rng.standard_exponential(out=pieces)
+            except BaseException as exc:  # raised on the caller's thread
+                drawn.put(exc)
+            else:
+                drawn.put(None)
 
+    here, there = buffers
+    slab_rows = len(here)
     helper = threading.Thread(target=draw, name="brokenstick-draws")
     helper.start()
     hits, last = 0, None
     try:
-        for i, (rng, rows) in enumerate(slabs):
-            claim, pieces = threading.Lock(), buffers[i % 2][:rows]
-            todo.put((claim, rng, pieces))
-            if last is not None:
-                hits += _slab_hits(mode, k, last)
-            if claim.acquire(blocking=False):
-                rng.standard_exponential(out=pieces)
-            elif (error := drawn.get()) is not None:
-                raise error
-            last = pieces
+        for block_trials, block_seed in blocks:
+            rng = np.random.default_rng(block_seed)
+            for start in range(0, block_trials, slab_rows):
+                pieces = here[: min(slab_rows, block_trials - start)]
+                todo.put((rng, pieces))
+                if last is not None:
+                    hits += _slab_hits(mode, k, last)
+                if (error := drawn.get()) is not None:
+                    raise error
+                last, here, there = pieces, there, here
         return hits + _slab_hits(mode, k, last)
     finally:
         todo.put(None)
@@ -269,10 +257,10 @@ def estimate(config: SimConfig) -> SimResult:
     n = config.spec.n
     k = n if config.mode == "ngon" else config.spec.k
     base, extra = divmod(config.trials, config.chunks)
-    blocks = (
+    blocks = [
         (base + (b < extra), _chunk_seed(config.seed, b))
         for b in range(min(config.chunks, config.trials))
-    )
+    ]
     hits = _run_blocks(config.mode, k, n, blocks)
     p = hits / config.trials
     return SimResult(

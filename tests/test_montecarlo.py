@@ -4,7 +4,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -350,66 +349,23 @@ def test_no_thread_outlives_estimate(monkeypatch):
         estimate(config)
     assert len(calls) == 3 and _helpers() == before
     monkeypatch.setattr(montecarlo, "_hit_mask", hit_mask)
-    # a draw that fails on the helper is raised on the caller's thread; a
-    # slow mask leaves the helper time to take the draws posted to it
-    _slow_masks(monkeypatch, every=1)
+    # a draw that fails on the helper, which makes every draw of such a
+    # run, is raised on the caller's thread
+    failed_on = []
 
-    def fail():
-        raise RuntimeError("draw failed")
+    class FailingGenerator:
+        def __init__(self, seed):
+            pass
 
-    monkeypatch.setattr(np.random, "default_rng", _counted_generators(fail)[0])
+        def standard_exponential(self, out):
+            failed_on.append(threading.current_thread())
+            raise RuntimeError("draw failed")
+
+    monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
     with pytest.raises(RuntimeError, match="draw failed"):
         estimate(config)
     assert len(runs) == 3 and _helpers() == before
-
-
-def _slow_masks(monkeypatch, every):
-    # every `every`-th slab's sort and mask waits 1 ms first
-    slab_hits, calls = montecarlo._slab_hits, []
-
-    def slow(*args):
-        calls.append(None)
-        if len(calls) % every == 0:
-            time.sleep(0.001)
-        return slab_hits(*args)
-
-    monkeypatch.setattr(montecarlo, "_slab_hits", slow)
-
-
-def _counted_generators(on_helper=None):
-    # default_rng whose generators count their draws by thread (True for
-    # the helper) and call on_helper before each draw off the main thread
-    default_rng, draws = np.random.default_rng, Counter()
-
-    class Generator:
-        def __init__(self, seed):
-            self.rng = default_rng(seed)
-
-        def standard_exponential(self, out):
-            helper = threading.current_thread() is not threading.main_thread()
-            draws[helper] += 1
-            if helper and on_helper:
-                on_helper()
-            return self.rng.standard_exponential(out=out)
-
-    return Generator, draws
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_draws_on_either_thread_keep_hits(monkeypatch, mode):
-    # the caller draws a slab itself when the helper has not begun it; a
-    # mask that is slow on every other slab lets each thread take some
-    # draws, so blocks mix draws from both
-    monkeypatch.setattr(montecarlo, "_SLAB_FLOATS", 7 * 9)
-    config = SimConfig(spec=ProblemSpec(4, 9), mode=mode, trials=700, seed=37, chunks=3)
-    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", float("inf"))
-    serial = estimate(config)
-    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", 0)
-    _slow_masks(monkeypatch, every=2)
-    generators, draws = _counted_generators()
-    monkeypatch.setattr(np.random, "default_rng", generators)
-    assert estimate(config) == serial
-    assert draws[True] > 0 and draws[False] > 0, draws
+    assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()
 
 
 def test_concurrent_runs_keep_hits(monkeypatch):
