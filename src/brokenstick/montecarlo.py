@@ -22,24 +22,36 @@ where splitmix64 is the usual xor-shift finalizer.  Blocks therefore
 never share a stream, and each block can be reproduced in isolation.
 Version 0.1.0 drew uniform cuts.
 
-A run draws its slabs of max(1, 2^17 // n) trials, block after block,
-into two reused float64 buffers of 1 MiB, which stay in a core's cache;
-"forall" and "ngon" write their running sums over the sorted slab, so a
-run holds about 2 MiB whatever its trial count.  While the caller sorts
-and masks one slab, a helper thread draws the next into the other
-buffer; numpy releases the GIL in all three, so on two cores the draw,
-over half of a slab's time at n >= 20, runs beside the rest.  A run of
-one slab, of slabs under 2^15 floats, or in a process that may use one
-CPU only stays on the caller's thread.  "none" and "exists" check
-window 0 on the whole slab and each later window only while some row is
-left undecided; at n well above k that ends after a window or two.  n
-itself is capped at 2^22.  PCG64 fills rows one after another and each
-block keeps its own generator, so hits depend neither on the slab size
-nor on which thread draws.
+A run packs its blocks into slabs of max(1, 2^17 // n) trials: each
+block fills the next rows from its own generator, so a slab may hold the
+end of one block and the start of the next, and one sort and mask serve
+them all.  The slabs are drawn into two reused float64 buffers of 1 MiB,
+which stay in a core's cache; "forall" and "ngon" write their running
+sums over the sorted slab, so a run holds 2 to 3.5 MiB whatever its
+trial count.  While the caller sorts and masks one slab, a helper thread
+draws the next into the other buffer; numpy releases the GIL in all
+three, so on two cores the draw, over half of a slab's time at n >= 20,
+runs beside the rest.  A run of one slab, of slabs under 2^15 floats, or in a
+process that may use one CPU only stays on the caller's thread.  "none"
+and "exists" check window 0 on the whole slab and each later window only
+while some row is left undecided; at n well above k that ends after a
+window or two.  n itself is capped at 2^22.  PCG64 fills rows one after
+another and each block keeps its own generator, so hits depend neither
+on the slab size, nor on how blocks share slabs, nor on which thread
+draws.
+
+Up to n = 10 a slab is sorted and masked column-major instead, since
+numpy's row sort costs about as much per row at n = 3 as at n = 10.
+Tiles of 8192 rows are copied to an (n + 1, 8192) buffer, at most 704
+KiB, made once per run; each column is sorted by a fixed comparator
+network (Batcher's odd-even merge, built once per n) with the largest
+piece in row 0, and the running sums add one row at a time, the order
+np.add.accumulate uses.  So every sorted value and every sum, and with
+them the hits, are those of the row kernel.
 
 Cost model: a run costs trials * n + 1000 * min(chunks, trials)
 trial-pieces, since only the first min(chunks, trials) blocks are
-non-empty.  A config past 1.5 * 10^8 (about 5 s) or with n > 2^22
+non-empty.  A config past 1.5 * 10^8 (about 2 s) or with n > 2^22
 raises ``ResourceLimitError`` when it is built, before any draw.
 """
 
@@ -47,7 +59,9 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 from math import inf, sqrt
 
 import numpy as np
@@ -75,6 +89,11 @@ MODES = ("none", "exists", "forall", "ngon")
 _SLAB_FLOATS = 1 << 17
 _MAX_N = 1 << 22
 
+# Largest n whose slabs go to the column kernel, and its tile in rows;
+# see the module docstring.
+_SMALL_N = 10
+_TILE_ROWS = 1 << 13
+
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Smallest slab, in floats, whose draws go to a helper thread (see the
@@ -86,11 +105,11 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 _HANDOFF_FLOATS = 1 << 15 if _CPUS > 1 else inf
 
 # Cost model in trial-pieces (see the module docstring).  On a 2-core
-# host the kernel did 33-43 M trial-pieces/s at n = 3 (35 M/s over a
-# whole run at the limit) and 78-138 M/s at n = 50, and a block cost
-# 17-26 us, at most about 900 trial-pieces at the slowest rate, so
-# _MAX_WORK is about 5 s at n = 3 (4.1-4.4 s measured).  Those rates are
-# on one thread: the helper's draws make large runs faster only while a
+# host, on one thread, the kernel did 150-160 M trial-pieces/s at n = 3
+# and 66-160 M/s at n = 3 to 300, slowest at n = 11 to 20 where the row
+# kernel takes over; a block cost 13-15 us, about 1000 trial-pieces at
+# that slowest rate.  So _MAX_WORK is about 2.3 s at the slowest n and
+# 1 s at n = 3.  The helper's draws make large runs faster only while a
 # second core is free, and with it busy a run costs up to about 15% more.
 _BLOCK_WORK = 1_000
 _MAX_WORK = 150_000_000
@@ -157,96 +176,176 @@ class SimResult:
     chunks: int
 
 
-def _hit_mask(mode: str, k: int, pieces: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    # pieces: (rows, n), each row sorted decreasing; S is the running sum
-    # along a row (np.add.accumulate: cumsum without its wrapper's cost).
-    # Window i of "none" holds piece i against S[i + k - 1] - S[i], the
-    # sum of its other k - 1 pieces; "forall" holds the largest piece
-    # against the k - 1 smallest.  The slab loops pass overwrite, so
-    # "forall" writes S over pieces (whose column 0 S keeps) instead of
-    # allocating a slab for it; the default leaves pieces intact for
-    # callers that reuse them, as the kernel tests do.
-    n = pieces.shape[1]
+def _hit_mask(mode: str, k: int, pieces: np.ndarray) -> np.ndarray:
+    # The row kernel: pieces (rows, n), each row sorted decreasing.  S is
+    # the running sum along a row (np.add.accumulate: cumsum without its
+    # wrapper's cost); "forall" writes it over pieces, whose column 0 it
+    # keeps, instead of allocating a slab for it.
     if mode in ("forall", "ngon"):
-        sums = np.add.accumulate(pieces, axis=1, out=pieces if overwrite else None)
-        return sums[:, 0] < sums[:, -1] - sums[:, n - k]
-    # Windows one at a time, each adding one column of S, until no row is
+        return _mask(mode, k, pieces.T, np.add.accumulate(pieces, axis=1, out=pieces).T)
+    return _mask(mode, k, pieces.T, np.add.accumulate(pieces[:, :k], axis=1).T)
+
+
+def _mask(mode: str, k: int, pieces, sums) -> np.ndarray:
+    # pieces[i] is piece i of every row, largest first, and sums[j] the
+    # running sum S[j] of pieces 0..j, for every j ("forall", "ngon") or
+    # for j < k ("none", "exists").  Window i of "none" holds piece i
+    # against S[i + k - 1] - S[i], the sum of its other k - 1 pieces;
+    # "forall" holds the largest piece against the k - 1 smallest.
+    n = len(pieces)
+    if mode in ("forall", "ngon"):
+        return sums[0] < sums[n - 1] - sums[n - k]
+    # Windows one at a time, each adding one piece to S, until no row is
     # left: the additions a whole-row cumsum makes, so the same bits.
-    head = np.add.accumulate(pieces[:, :k], axis=1)  # S[0 .. k - 1]
-    last = head[:, k - 1]
-    none = pieces[:, 0] >= last - head[:, 0]
+    last = sums[k - 1]
+    none = pieces[0] >= last - sums[0]
     later = []  # S[k], S[k + 1], ...
     for i in range(1, n - k + 1):
         if not np.count_nonzero(none):  # cheaper than none.any() on small slabs
             break
-        last = last + pieces[:, i + k - 1]
+        last = last + pieces[i + k - 1]
         later.append(last)
-        none &= pieces[:, i] >= last - (head[:, i] if i < k else later[i - k])
+        none &= pieces[i] >= last - (sums[i] if i < k else later[i - k])
     return none if mode == "none" else ~none
 
 
-def _slab_hits(mode: str, k: int, draws: np.ndarray) -> int:
-    # Sorts and masks one slab of draws in place.
-    draws.sort(axis=1)
-    return int(np.count_nonzero(_hit_mask(mode, k, draws[:, ::-1], overwrite=True)))
+@cache
+def _network(n: int) -> tuple[tuple[int, int], ...]:
+    # Batcher's odd-even merge sort (Knuth, TAOCP vol. 3, 5.3.4) as
+    # comparators (i, j), i < j, for the next power of two; those reaching
+    # past n are dropped, which sorts n keys as if the rest were -inf.
+    size = 1 << (n - 1).bit_length()
+    pairs = []
+    p = 1
+    while p < size:
+        d = p
+        while d:
+            for j in range(d % p, size - d, 2 * d):
+                for i in range(j, min(j + d, size - d)):
+                    if i // (2 * p) == (i + d) // (2 * p) and i + d < n:
+                        pairs.append((i, i + d))
+            d //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _sorted_rows(cols: np.ndarray) -> list[np.ndarray]:
+    # Sorts cols[:-1] (n rows) down each column, the largest in row 0,
+    # with cols[-1] as scratch; returns the sorted rows as views of cols.
+    # Each comparator writes its min to the scratch row, which then takes
+    # the place of the row it came from.
+    *rows, spare = cols
+    for i, j in _network(len(rows)):
+        np.minimum(rows[i], rows[j], out=spare)
+        np.maximum(rows[i], rows[j], out=rows[i])
+        rows[j], spare = spare, rows[j]
+    return rows
+
+
+def _column_mask(mode: str, k: int, rows: list[np.ndarray]) -> np.ndarray:
+    # The column kernel: rows are the n pieces of every trial, largest
+    # first.  S[j] is built by adding one row at a time, the order of
+    # np.add.accumulate, so every sum is the float the row kernel makes.
+    if mode in ("forall", "ngon"):
+        for j in range(1, len(rows)):
+            np.add(rows[j - 1], rows[j], out=rows[j])
+        return _mask(mode, k, rows, rows)
+    sums = rows[:1]
+    for j in range(1, k):
+        sums.append(sums[-1] + rows[j])
+    return _mask(mode, k, rows, sums)
+
+
+def _slab_hits(mode: str, k: int, draws: np.ndarray, cols: np.ndarray | None) -> int:
+    # Sorts and masks one slab of draws, overwriting it.  With cols, an
+    # (n + 1, tile) buffer, the slab goes tile by tile to column-major.
+    if cols is None:
+        draws.sort(axis=1)
+        return int(np.count_nonzero(_hit_mask(mode, k, draws[:, ::-1])))
+    tile = cols.shape[1]
+    hits = 0
+    for start in range(0, len(draws), tile):
+        part = draws[start : start + tile]
+        here = cols[:, : len(part)]
+        np.copyto(here[:-1], part.T)
+        hits += np.count_nonzero(_column_mask(mode, k, _sorted_rows(here)))
+    return int(hits)
+
+
+def _slabs(blocks: list[tuple[int, int]], slab_rows: int) -> Iterator[list[tuple[np.random.Generator, int]]]:
+    # The run's plan: each slab as (generator, rows) draws that fill it in
+    # order, block after block, so a slab may hold the end of one block
+    # and the start of the next.  A block's generator is made when the
+    # plan reaches it.
+    slab, room = [], slab_rows
+    for trials, seed in blocks:
+        rng = np.random.default_rng(seed)
+        while trials:
+            rows = min(trials, room)
+            slab.append((rng, rows))
+            trials -= rows
+            room -= rows
+            if not room:
+                yield slab
+                slab, room = [], slab_rows
+    if slab:
+        yield slab
+
+
+def _draw(slab: list[tuple[np.random.Generator, int]], buffer: np.ndarray) -> np.ndarray:
+    # Fills the buffer's first rows with the slab's draws and returns them;
+    # standard_exponential fills `out` with the stream it would return as
+    # a new array.
+    start = 0
+    for rng, rows in slab:
+        rng.standard_exponential(out=buffer[start : start + rows])
+        start += rows
+    return buffer[:start]
 
 
 def _run_blocks(mode: str, k: int, n: int, blocks: list[tuple[int, int]]) -> int:
     """Hits of the blocks, (trials, seed) pairs drawn in list order."""
-    slab_rows = min(max(1, _SLAB_FLOATS // n), max(trials for trials, _ in blocks))
-    if slab_rows * n >= _HANDOFF_FLOATS and (len(blocks) > 1 or blocks[0][0] > slab_rows):
-        return _overlapped_hits(mode, k, blocks, np.empty((2, slab_rows, n)))
-    # Every slab is drawn into this buffer, which standard_exponential
-    # fills with the stream it would return as a new array.
+    total = sum(trials for trials, _ in blocks)
+    slab_rows = min(max(1, _SLAB_FLOATS // n), total)
+    cols = np.empty((n + 1, min(slab_rows, _TILE_ROWS))) if n <= _SMALL_N else None
+    slabs = _slabs(blocks, slab_rows)
+    if slab_rows * n >= _HANDOFF_FLOATS and total > slab_rows:
+        return _overlapped_hits(mode, k, slabs, np.empty((2, slab_rows, n)), cols)
     draws = np.empty((slab_rows, n))
-    hits = 0
-    for block_trials, block_seed in blocks:
-        rng = np.random.default_rng(block_seed)
-        for start in range(0, block_trials, slab_rows):
-            pieces = draws[: min(slab_rows, block_trials - start)]
-            rng.standard_exponential(out=pieces)
-            hits += _slab_hits(mode, k, pieces)
-    return hits
+    return sum(_slab_hits(mode, k, _draw(slab, draws), cols) for slab in slabs)
 
 
-def _overlapped_hits(mode: str, k: int, blocks: list[tuple[int, int]], buffers: np.ndarray) -> int:
+def _overlapped_hits(mode: str, k: int, slabs: Iterator, buffers: np.ndarray, cols: np.ndarray | None) -> int:
     # The loop above, with a helper thread drawing slab i + 1 into one
     # buffer while the caller sorts and masks slab i in the other; numpy
-    # releases the GIL in all three.  The caller walks the slabs, making
-    # each block's generator, posts each draw on `todo` and waits on
-    # `drawn` for None or the helper's error.  Only such runs import
-    # queue, which costs every CLI start about 1 ms.
+    # releases the GIL in all three.  The caller walks the plan, making
+    # each block's generator, posts each slab on `todo` and waits on
+    # `drawn` for the drawn rows or the helper's error.  Only such runs
+    # import queue, which costs every CLI start about 1 ms.
     from queue import SimpleQueue
 
     todo, drawn = SimpleQueue(), SimpleQueue()
 
     def draw() -> None:
         while (task := todo.get()) is not None:
-            rng, pieces = task
             try:
-                rng.standard_exponential(out=pieces)
+                drawn.put(_draw(*task))
             except BaseException as exc:  # raised on the caller's thread
                 drawn.put(exc)
-            else:
-                drawn.put(None)
 
     here, there = buffers
-    slab_rows = len(here)
     helper = threading.Thread(target=draw, name="brokenstick-draws")
     helper.start()
     hits, last = 0, None
     try:
-        for block_trials, block_seed in blocks:
-            rng = np.random.default_rng(block_seed)
-            for start in range(0, block_trials, slab_rows):
-                pieces = here[: min(slab_rows, block_trials - start)]
-                todo.put((rng, pieces))
-                if last is not None:
-                    hits += _slab_hits(mode, k, last)
-                if (error := drawn.get()) is not None:
-                    raise error
-                last, here, there = pieces, there, here
-        return hits + _slab_hits(mode, k, last)
+        for slab in slabs:
+            todo.put((slab, here))
+            if last is not None:
+                hits += _slab_hits(mode, k, last, cols)
+            if isinstance(pieces := drawn.get(), BaseException):
+                raise pieces
+            last, here, there = pieces, there, here
+        return hits + _slab_hits(mode, k, last, cols)
     finally:
         todo.put(None)
         helper.join()

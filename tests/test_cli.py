@@ -794,6 +794,17 @@ def test_module_entry_point(monkeypatch):
     assert json.loads(proc.stdout)["result"]["probability"] == "1/2"
 
 
+def test_exact_requests_leave_numpy_random_unloaded(monkeypatch):
+    # numpy loads numpy.random on first use, which costs a CLI start about
+    # 6 MiB; a request that draws nothing should not pay for it
+    code = (
+        "import sys; from brokenstick import cli; cli.main(['prob', 'none', '--k', '4', '--n', '4']);"
+        " sys.exit('numpy.random' in sys.modules)"
+    )
+    proc = run_module(monkeypatch, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_results_never_pass_through_str_int(monkeypatch):
     # 640 is the lowest int-to-str limit the interpreter accepts; the
     # 50k-digit answer prints only if no result int goes through str(int)

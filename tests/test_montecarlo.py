@@ -73,6 +73,14 @@ def scalar_hit(mode: str, pieces: Sequence[float], k: int) -> bool:
     return predicate_forall(pieces, n if mode == "ngon" else k)
 
 
+def column_mask(mode: str, k: int, pieces: np.ndarray) -> np.ndarray:
+    """The column kernel's mask of pieces (rows, n), in any order per row."""
+    n = pieces.shape[1]
+    cols = np.empty((n + 1, len(pieces)))
+    cols[:n] = pieces.T
+    return montecarlo._column_mask(mode, k, montecarlo._sorted_rows(cols))
+
+
 def sorted_pieces(values):
     total = sum(values)
     return sorted((v / total for v in values), reverse=True)
@@ -174,7 +182,11 @@ def test_kernel_resolves_ties_like_scalar_predicates():
         for mode in MODES:
             block_k = len(values) if mode == "ngon" else k
             want = scalar_hit(mode, values, k)
-            assert montecarlo._hit_mask(mode, block_k, pieces).tolist() == [want], (values, k, mode)
+            assert montecarlo._hit_mask(mode, block_k, pieces.copy()).tolist() == [want], (values, k, mode)
+            # the column kernel sorts the pieces itself, so it also gets
+            # them in increasing order
+            for order in (pieces, pieces[:, ::-1]):
+                assert column_mask(mode, block_k, order).tolist() == [want], (values, k, mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -186,10 +198,43 @@ def test_hit_mask_is_scale_invariant(mode):
     pieces = np.sort(np.random.default_rng(11).standard_exponential((500, n)), axis=1)[:, ::-1]
     pieces[:4] = [[4, 2, 1, 1, 0.5, 0.5], [2, 1, 1, 0.5, 0.25, 0.25], [3, 1, 1, 1, 1, 1], [1] * n]
     block_k = n if mode == "ngon" else k
-    mask = montecarlo._hit_mask(mode, block_k, pieces)
+    mask = montecarlo._hit_mask(mode, block_k, pieces.copy())
     for j in (-60, -1, 3, 60):
         scaled = montecarlo._hit_mask(mode, block_k, pieces * 2.0**j)
         assert np.array_equal(scaled, mask), j
+        # and the column kernel, on the same scaled slabs
+        assert np.array_equal(column_mask(mode, block_k, pieces * 2.0**j), mask), j
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", range(3, montecarlo._SMALL_N + 3))
+def test_column_kernel_matches_row_kernel(mode, n):
+    # one slab of draws, with a few rows of ties, through both kernels:
+    # equal masks, and equal hits from _slab_hits over ragged tiles
+    rng = np.random.default_rng(100 + n)
+    draws = rng.standard_exponential((3000, n))
+    draws[:3] = [np.ones(n), 2.0 ** -np.arange(n), np.r_[n - 1.0, np.ones(n - 1)]]
+    draws[3:6] = draws[:3, ::-1]
+    for k in sorted({3, (n + 3) // 2, n}) if mode != "ngon" else [n]:
+        rows = np.sort(draws, axis=1)[:, ::-1]
+        mask = montecarlo._hit_mask(mode, k, rows)
+        assert np.array_equal(column_mask(mode, k, draws), mask), k
+        want = int(np.count_nonzero(mask))
+        assert montecarlo._slab_hits(mode, k, draws.copy(), None) == want, k
+        for tile in (1024, 7):
+            cols = np.empty((n + 1, tile))
+            assert montecarlo._slab_hits(mode, k, draws.copy(), cols) == want, (k, tile)
+
+
+@pytest.mark.parametrize("n", range(1, montecarlo._SMALL_N + 1))
+def test_network_sorts_every_zero_one_vector(n):
+    # the 0-1 principle: a comparator network that sorts every 0/1 input
+    # sorts every input
+    vectors = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    cols = np.empty((n + 1, 1 << n))
+    cols[:n] = vectors.T
+    got = np.array(montecarlo._sorted_rows(cols)).T
+    assert np.array_equal(got, np.sort(vectors, axis=1)[:, ::-1])
 
 
 # (mode, k, n, trials, seed, chunks, hits), recorded at version 0.2.0,
@@ -278,14 +323,15 @@ def test_run_memory_is_a_few_slabs(mode):
 
 
 def test_hit_mask_overwrite_keeps_the_mask():
-    # forall's running sums written over the pieces give the same mask,
-    # ties included, and leave the largest piece in column 0
+    # forall's running sums written over the pieces give the mask of the
+    # scalar predicates, ties included, and leave the largest piece in
+    # column 0
     pieces = np.sort(np.random.default_rng(13).standard_exponential((300, 7)), axis=1)[:, ::-1]
     pieces[:3] = [[4, 2, 1, 0.5, 0.25, 0.125, 0.125], [1] * 7, [3, 1, 1, 1, 1, 0.5, 0.5]]
     for mode, k in (("forall", 3), ("forall", 5), ("ngon", 7)):
         scratch = pieces.copy()
-        mask = montecarlo._hit_mask(mode, k, scratch, overwrite=True)
-        assert np.array_equal(mask, montecarlo._hit_mask(mode, k, pieces)), (mode, k)
+        mask = montecarlo._hit_mask(mode, k, scratch)
+        assert mask.tolist() == [scalar_hit(mode, row.tolist(), k) for row in pieces], (mode, k)
         assert np.array_equal(scratch[:, 0], pieces[:, 0])
 
 
@@ -320,6 +366,23 @@ def test_handoff_does_not_change_hits(monkeypatch, mode, chunks, k, n, trials, s
     monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", 0)
     assert estimate(config) == serial
     assert len(runs) == 1
+
+
+@pytest.mark.parametrize("handoff", [0, float("inf")])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k, n", [(3, 5), (4, 10), (3, 13)])
+def test_packed_slabs_keep_each_blocks_hits(monkeypatch, handoff, mode, k, n):
+    # slabs of 70 rows over blocks of 1 to 150 trials: slabs hold several
+    # blocks, and blocks straddle slabs, with the hand-off forced on and
+    # off; each block still draws its own stream, as when run alone
+    block_k = n if mode == "ngon" else k
+    blocks = [(trials, _chunk_seed(41, b)) for b, trials in enumerate((150, 1, 69, 70, 3, 71, 40, 2))]
+    alone = sum(_run_blocks(mode, block_k, n, [block]) for block in blocks)
+    monkeypatch.setattr(montecarlo, "_SLAB_FLOATS", 70 * n)
+    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", handoff)
+    runs = _spy_overlapped(monkeypatch)
+    assert _run_blocks(mode, block_k, n, blocks) == alone
+    assert len(runs) == (handoff == 0)
 
 
 def _helpers():
@@ -396,11 +459,13 @@ def test_concurrent_runs_keep_hits(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "k, n, trials, chunks", [(3, 3, 5_000, 8), (3, 3, 5_000, 1), (10, 10, 5_000, 1), (6, 8, 5_000, 8)]
+    "k, n, trials, chunks",
+    [(3, 3, 5_000, 8), (3, 3, 5_000, 1), (10, 10, 5_000, 1), (6, 8, 5_000, 8), (5, 7, 5_000, 8)],
 )
 def test_small_runs_start_no_thread(monkeypatch, k, n, trials, chunks):
     # runs as small as these stay on the caller's thread: a single slab,
-    # or slabs under the hand-off size
+    # or slabs under the hand-off size; the blocks of (5, 7) fill one
+    # slab of 35,000 floats, over the hand-off size
     def fail(*args, **kwargs):
         raise AssertionError("a small run started a thread")
 
