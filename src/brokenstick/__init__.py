@@ -32,7 +32,6 @@ from .counting import (
     count_restricted,
     hermite_coeff,
     limit_probability,
-    series_coefficients,
 )
 from .montecarlo import (
     DEFAULT_CHUNKS,
@@ -64,7 +63,6 @@ __all__ = [
     "run_elimination",
     "count_constrained",
     "count_restricted",
-    "series_coefficients",
     "hermite_coeff",
     "asymptotic_ratio",
     "limit_probability",

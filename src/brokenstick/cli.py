@@ -252,14 +252,13 @@ def _cmd_omega(k, n, trace) -> dict:
 def _cmd_count(k, n, n_value, oracle, positivity) -> dict:
     spec = ProblemSpec(k, n)
     if oracle == "brute":
-        count = count_constrained(spec, n_value, positivity)
-    elif positivity != "nonneg":
-        raise ValueError(f"the {oracle} oracle counts nonnegative solutions only")
-    elif oracle == "parts":
-        count = count_restricted(parts_multiset(k, n), n_value)
-    else:
-        count = count_restricted(run_elimination(spec).exponents, n_value)
-    return {"count": count}
+        return {"count": count_constrained(spec, n_value, positivity)}
+    if n_value < 0:
+        raise ValueError(f"total must be nonnegative, got {n_value}")
+    parts = parts_multiset(k, n) if oracle == "parts" else run_elimination(spec).exponents
+    # a positive count is the nonnegative count at the total less piece n's part
+    shift = parts[-1] if positivity == "positive" else 0
+    return {"count": count_restricted(parts, n_value - shift) if n_value >= shift else 0}
 
 
 def _cmd_hermite(n, n_value) -> dict:

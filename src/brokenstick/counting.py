@@ -9,16 +9,18 @@ other and the closed forms:
   a block of numpy rows per step, and counts a whole range of totals in
   one pass, counting the last slot's admissible values as one run, so
   ``verify --suite lemma1`` walks each prefix once for all its totals.
-* ``count_restricted`` / ``series_coefficients``: classical coin-style
-  partition DP, counting by part sizes (the elimination engine's
-  output) instead of by direct search.  ``series_coefficients`` keeps
-  every coefficient up to its order.  ``count_restricted`` fills the
-  table only to c + rL, for r part sizes of lcm L and c the total mod
-  L, and extrapolates the count, a polynomial on each residue class
-  mod L, exactly to the total.
+* ``count_restricted``: classical coin-style partition DP, counting by
+  part sizes (the elimination engine's output) instead of by direct
+  search.  It fills the table only to c + rL, for r part sizes of lcm
+  L and c the total mod L, and extrapolates the count, a polynomial on
+  each residue class mod L, exactly to the total.
 * ``hermite_coeff``: closed-form count of compositions into n positive
   parts each at most half the total, the coefficients of the
   all-pieces polygon generating function.
+
+Each route counts nonnegative solutions; a positive count at N is the
+nonnegative count at N - c_n, c = ``parts_multiset(k, n)`` (see
+``count_constrained``).
 
 ``asymptotic_ratio`` and ``limit_probability`` relate the discrete
 counts back to the continuous probabilities.
@@ -41,7 +43,6 @@ from .probability import ProblemSpec, ResourceLimitError
 __all__ = [
     "count_constrained",
     "count_restricted",
-    "series_coefficients",
     "hermite_coeff",
     "asymptotic_ratio",
     "limit_probability",
@@ -122,11 +123,9 @@ def _search_nodes(spec: ProblemSpec, t_min: int, t_max: int) -> int:
     return max(partitions, nodes)
 
 
-def _constrained_counts(
-    spec: ProblemSpec, t_min: int, t_max: int, positivity: Positivity
-) -> list[int]:
-    # Counts of the window system's solutions at each total t_min..t_max,
-    # by one walk over the tree of prefixes; see _walk.
+def _constrained_counts(spec: ProblemSpec, t_min: int, t_max: int) -> list[int]:
+    # Counts of the window system's nonnegative solutions at each total
+    # t_min..t_max, by one walk over the tree of prefixes; see _walk.
     k, n = spec.k, spec.n
     if n > _MAX_DEPTH:
         raise ResourceLimitError(
@@ -138,27 +137,24 @@ def _constrained_counts(
         raise ResourceLimitError(
             f"{totals} with n={n} needs about {estimate} search nodes (limit {_NODE_CAP})"
         )
-    lo = 1 if positivity == "positive" else 0
     runs = np.zeros(t_max - t_min + 2, np.int64)
     # the empty prefix, under no window yet; at most this many are open at once
     windows = min(k - 1, n - k + 1)
-    root = np.array([[t_max - lo * (n - 1)], [t_max]] + [[_NO_WINDOW]] * windows, np.int64)
-    _walk(root, 0, spec, lo, t_min, t_max, runs)
+    root = np.array([[t_max], [t_max]] + [[_NO_WINDOW]] * windows, np.int64)
+    _walk(root, 0, spec, t_min, t_max, runs)
     return np.cumsum(runs[:-1]).tolist()
 
 
 def _walk(
-    frontier: np.ndarray, pos: int, spec: ProblemSpec, lo: int, t_min: int, t_max: int,
-    runs: np.ndarray,
+    frontier: np.ndarray, pos: int, spec: ProblemSpec, t_min: int, t_max: int, runs: np.ndarray
 ) -> None:
     # Walks a block of prefixes that end before slot pos, and the subtree
     # below it, one slot per step.  Each column of frontier is one prefix,
     # and each row one bound on its next value: row 0 is the room left
-    # below t_max once every later slot takes lo, row 1 the last value,
-    # and each row after that the slack of one open window s, a_s less
-    # the later pieces already placed in it and less lo for each of its
-    # slots still to come.  So the value at pos is at most the least entry
-    # of its column, and above `short`, the largest value from which every
+    # below t_max, row 1 the last value, and each row after that the
+    # slack of one open window s, a_s less the later pieces already
+    # placed in it.  So the value at pos is at most the least entry of
+    # its column, and above `short`, the largest value from which every
     # later slot repeating it still falls short of t_min.  The last slot's
     # values are one run per prefix, added to the difference array runs.
     # A block whose children pass one block hands them on one block at a
@@ -170,9 +166,9 @@ def _walk(
         slots_after = n - pos - 1
         cap = frontier.min(axis=0)
         # short = ceil((t_min - used) / (slots_after + 1)) - 1, for used the
-        # prefix's total, which is t_max - lo * slots_after - frontier[0]
-        below_min = frontier[0] + (t_min - t_max + lo * slots_after - 1)
-        short = np.maximum(below_min // (slots_after + 1), lo - 1)
+        # prefix's total, which is t_max - frontier[0]
+        below_min = frontier[0] + (t_min - t_max - 1)
+        short = np.maximum(below_min // (slots_after + 1), -1)
         if slots_after == 0:
             # the run's ends as offsets from t_min; a prefix with no value
             # left gets a run of length 0
@@ -192,7 +188,7 @@ def _walk(
         if total <= per_block:
             parent = np.repeat(np.arange(len(counts)), counts)
             v = np.arange(1, total + 1) - shift[parent]
-            frontier = _children(frontier, parent, v, pos, spec, lo)
+            frontier = _children(frontier, parent, v, pos, spec)
             pos += 1
             continue
         # only frontier, ends and shift are kept while the children are walked
@@ -200,31 +196,42 @@ def _walk(
         for first in range(1, total + 1, per_block):
             j = np.arange(first, min(first + per_block, total + 1))
             parent = np.searchsorted(ends, j)
-            _walk(_children(frontier, parent, j - shift[parent], pos, spec, lo),
-                  pos + 1, spec, lo, t_min, t_max, runs)
+            _walk(_children(frontier, parent, j - shift[parent], pos, spec),
+                  pos + 1, spec, t_min, t_max, runs)
         return
 
 
 def _children(
-    frontier: np.ndarray, parent: np.ndarray, v: np.ndarray, pos: int, spec: ProblemSpec,
-    lo: int,
+    frontier: np.ndarray, parent: np.ndarray, v: np.ndarray, pos: int, spec: ProblemSpec
 ) -> np.ndarray:
     # The prefixes frontier[:, parent] extended by the values v at slot pos:
-    # every bound drops by v less lo and the last value becomes v.  Window
-    # s sits in row 2 + s mod w, w the rows left for windows, so window
-    # pos opens (with slack v less lo for each of its k - 2 later slots)
-    # in the row of the window that closes at pos, if any.  Past slot
-    # n - k no window opens, and the closing window's row bounds nothing.
+    # every bound drops by v and the last value becomes v.  Window s sits
+    # in row 2 + s mod w, w the rows left for windows, so window pos opens
+    # (with slack v) in the row of the window that closes at pos, if any.
+    # Past slot n - k no window opens, and the closing window's row bounds
+    # nothing.
     k, n = spec.k, spec.n
     child = frontier.take(parent, axis=1)
-    child -= v - lo
+    child -= v
     child[1] = v
     windows = len(frontier) - 2
     if pos <= n - k:
-        child[2 + pos % windows] = v - (k - 2) * lo
+        child[2 + pos % windows] = v
     elif pos >= k - 1:
         child[2 + (pos - k + 1) % windows] = _NO_WINDOW
     return child
+
+
+def _least_positive_total(k: int, n: int) -> int:
+    # Total of the least positive solution, built from the inequalities
+    # and not from genfib: the last k - 1 pieces are 1 and each earlier
+    # piece closes its window tightly.  O(n) additions of up to n bits.
+    pieces = [1] * (k - 1)
+    window = k - 1
+    for _ in range(n - k + 1):
+        pieces.append(window)
+        window = 2 * window - pieces[-k]
+    return sum(pieces)
 
 
 def count_constrained(
@@ -237,26 +244,36 @@ def count_constrained(
     Vectors (a_1 >= a_2 >= ... >= a_n) with every a_i >= 0 (or >= 1 for
     ``positivity="positive"``), total exactly ``n_value``, and every
     window inequality a_i >= a_{i+1} + ... + a_{i+k-1}.  One
-    exhaustive search, shared with ``verify --suite lemma1``, which asks
-    it for a whole range of totals in one pass.  It walks the prefixes
-    slot by slot, a block of numpy rows at a time: each slot's value is
-    capped by the slot before, by the total and by every open window,
-    and floored by what still reaches the total, and the last slot adds
-    one run of values per prefix.
+    exhaustive search of nonnegative solutions, shared with ``verify
+    --suite lemma1``, which asks it for a whole range of totals in one
+    pass.  It walks the prefixes slot by slot, a block of numpy rows at
+    a time: each slot's value is capped by the slot before, by the total
+    and by every open window, and floored by what still reaches the
+    total, and the last slot adds one run of values per prefix.
+
+    Forcing every piece to be at least 1 multiplies the generating
+    function prod_j 1/(1 - q^(c_j)), c = ``parts_multiset(k, n)``, by
+    q^(c_n), c_n the total of the least positive solution (k - 1
+    trailing ones, every window tight).  So a positive request at N
+    costs the walk at N - c_n, and is 0 below c_n.
 
     Raises ``ResourceLimitError`` for n > 500, since the walk may recurse
     once per piece, and when it would visit more than 4 * 10^6 nodes by
-    the estimate: the larger of the partition count
-    n_value^(n-1) / (n! (n-1)!) and 2n - k - 1 nodes per solution, the
-    solutions counted by the partition DP over ``parts_multiset``.  The
-    largest totals served took 0.04-0.25 s on a 2-core host for k <= 12,
-    and up to about 3 s at (250, 500), whose prefixes carry 249 windows.
+    the estimate at the total it walks: the larger of the partition count
+    t^(n-1) / (n! (n-1)!) and 2n - k - 1 nodes per solution, the
+    solutions counted by the partition DP over ``parts_multiset``.
     """
     if n_value < 0:
         raise ValueError(f"total must be nonnegative, got {n_value}")
     if positivity not in ("nonneg", "positive"):
         raise ValueError(f"positivity must be 'nonneg' or 'positive', got {positivity!r}")
-    return _constrained_counts(spec, n_value, n_value, positivity)[0]
+    # past the depth limit the walk refuses before c_n, up to n bits, is built
+    shift = 0
+    if positivity == "positive" and spec.n <= _MAX_DEPTH:
+        shift = _least_positive_total(spec.k, spec.n)
+    if n_value < shift:
+        return 0
+    return _constrained_counts(spec, n_value - shift, n_value - shift)[0]
 
 
 def _add_part(ways: list[int], p: int) -> None:
@@ -339,13 +356,7 @@ def count_restricted(parts: Iterable[int], n_value: int) -> int:
 
 
 def series_coefficients(product: ClosedProduct, n_max: int) -> list[int]:
-    """Coefficients 0..n_max of prod_i 1/(1 - q^e_i), by the coin-change DP.
-
-    Every coefficient is kept, so the table is filled to n_max: one cell
-    per exponent e <= n_max and total e..n_max, under the same guard as
-    ``count_restricted`` (5 * 10^7 cells, total 10^7), which reads a
-    single coefficient from a shorter table.
-    """
+    """Coefficients 0..n_max of prod_i 1/(1 - q^e_i); unexported, ``bench/spans.py`` wraps it."""
     if n_max < 0:
         raise ValueError(f"truncation order must be nonnegative, got {n_max}")
     return _restricted_table(product.exponents, n_max)

@@ -85,15 +85,12 @@ from typing import Literal, NamedTuple, NoReturn, overload
 from .probability import ProblemSpec, ResourceLimitError
 
 __all__ = [
-    "LAMBDA",
-    "MU",
     "Var",
     "ShapeError",
     "CrudeFactor",
     "ClosedProduct",
     "EliminationStep",
     "build_crude",
-    "elimination_order",
     "run_elimination",
 ]
 

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .counting import (
-    _constrained_counts,
-    _restricted_table,
-    asymptotic_ratio,
-    hermite_coeff,
-    series_coefficients,
-)
+from .counting import _constrained_counts, _restricted_table, asymptotic_ratio, hermite_coeff
 from .genfib import f_sum, parts_multiset
 from .montecarlo import _MAX_WORK, DEFAULT_CHUNKS, DEFAULT_SEED, SimConfig, _work, estimate
 from .omega import run_elimination
@@ -93,9 +87,9 @@ def suite_lemma1(
     for k in k_values:
         for n in range(k, k + n_extra + 1):
             spec = ProblemSpec(k, n)
-            coeffs = series_coefficients(run_elimination(spec), max_total)
+            coeffs = _restricted_table(run_elimination(spec).exponents, max_total)
             by_parts = _restricted_table(parts_multiset(k, n), max_total)
-            direct = _constrained_counts(spec, 0, max_total, "nonneg")
+            direct = _constrained_counts(spec, 0, max_total)
             bad = None
             for total in range(max_total + 1):
                 if coeffs[total] != direct[total] or by_parts[total] != direct[total]:

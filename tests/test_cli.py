@@ -273,14 +273,22 @@ def test_count_positive_brute(capsys):
     assert record["result"]["count"] == "1"
 
 
-def test_count_positive_rejected_for_series_oracles(capsys):
-    for oracle in ("parts", "series"):
-        code, _, err = run_cli(
-            capsys, "count", "--k", "3", "--n", "3", "--N-value", "5",
-            "--oracle", oracle, "--positivity", "positive",
-        )
-        assert code == 3
-        assert "nonnegative" in err
+def test_count_positive_oracles_agree(capsys):
+    # each oracle shifts the total by the least positive solution's
+    for k, n, total, want in ((3, 4, 12, "4"), (3, 3, 5, "1")):
+        for oracle in ("brute", "parts", "series"):
+            argv = ("--k", str(k), "--n", str(n), "--N-value", str(total), "--oracle", oracle)
+            record = run_json(capsys, "count", *argv, "--positivity", "positive")
+            assert record["result"]["count"] == want, (k, n, total, oracle)
+
+
+def test_count_positive_negative_total_is_a_domain_error(capsys):
+    # a negative total is refused before the shift, not counted as 0
+    for oracle in ("brute", "parts", "series"):
+        argv = ("--k", "3", "--n", "4", "--N-value", "-1", "--oracle", oracle)
+        code, out, err = run_cli(capsys, "count", *argv, "--positivity", "positive")
+        assert (code, out) == (3, ""), oracle
+        assert err == "brokenstick: error: total must be nonnegative, got -1\n"
 
 
 def test_count_resource_guard_exit(capsys):
@@ -512,12 +520,17 @@ def test_count_refuses_table_past_bound_before_allocating(capsys):
 
 def test_count_brute_refuses_depth_before_estimating(capsys, monkeypatch):
     # the search recurses once per piece: n = 997 used to die of RecursionError,
-    # and n = 10^6 spent 20 s on factorial(n) for the node estimate first
+    # n = 10^6 spent 20 s on factorial(n) for the node estimate first, and a
+    # positive request would build the least positive total, up to n bits
     monkeypatch.setattr(counting, "factorial", _fail)
-    for n in (_MAX_DEPTH + 1, 997, 10**6):
+    monkeypatch.setattr(counting, "_least_positive_total", _fail)
+    for n, positivity in (
+        (_MAX_DEPTH + 1, "nonneg"), (997, "nonneg"), (10**6, "nonneg"),
+        (_MAX_DEPTH + 1, "positive"), (10**6, "positive"),
+    ):
         argv = ("--k", "3", "--n", str(n), "--N-value", "0", "--oracle", "brute")
-        code, out, err = run_cli(capsys, "count", *argv)
-        assert (code, out) == (3, ""), n
+        code, out, err = run_cli(capsys, "count", *argv, "--positivity", positivity)
+        assert (code, out) == (3, ""), (n, positivity)
         assert f"depth {_MAX_DEPTH}" in err
     monkeypatch.undo()
     argv = ("--k", "3", "--n", str(_MAX_DEPTH), "--N-value", "10", "--oracle", "brute")
@@ -582,7 +595,7 @@ def test_verify_suites_refuse_totals_past_bound(capsys, monkeypatch):
             75,
             _LEMMA1_MAX_NODES,
             "_constrained_counts",
-            lambda spec, t_min, t_max, positivity: [-1] * (t_max - t_min + 1),
+            lambda spec, t_min, t_max: [-1] * (t_max - t_min + 1),
             "run_elimination",
         ),
         (

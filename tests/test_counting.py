@@ -1,6 +1,10 @@
 """Counting oracles against brute-force enumeration written a different way."""
 
+import contextlib
+import functools
+import io
 import itertools
+import json
 import math
 import time
 import tracemalloc
@@ -17,10 +21,11 @@ from brokenstick import (
     count_restricted,
     hermite_coeff,
     limit_probability,
+    parts_multiset,
     run_elimination,
-    series_coefficients,
 )
-from brokenstick import counting
+from brokenstick import cli, counting
+from brokenstick.counting import series_coefficients
 from brokenstick.omega import ClosedProduct
 from brokenstick.verification import _composition_count
 
@@ -76,9 +81,10 @@ def test_constrained_matches_naive(k, n, positivity):
     want = [naive_constrained(k, n, total, positivity == "positive") for total in range(13)]
     for total in range(0, 13):
         assert count_constrained(spec, total, positivity) == want[total], (total,)
-    # one search over a range of totals, from zero and from inside
-    assert counting._constrained_counts(spec, 0, 12, positivity) == want
-    assert counting._constrained_counts(spec, 5, 12, positivity) == want[5:]
+    if positivity == "nonneg":
+        # one search over a range of totals, from zero and from inside
+        assert counting._constrained_counts(spec, 0, 12) == want
+        assert counting._constrained_counts(spec, 5, 12) == want[5:]
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,11 +92,11 @@ def test_constrained_matches_naive(k, n, positivity):
 def test_constrained_range_matches_series(data, k, extra):
     spec = ProblemSpec(k, k + extra)
     top = data.draw(st.integers(min_value=0, max_value=20), label="top")
-    counts = counting._constrained_counts(spec, 0, top, "nonneg")
-    assert counts == series_coefficients(run_elimination(spec), top)
+    counts = counting._constrained_counts(spec, 0, top)
+    assert counts == counting._restricted_table(run_elimination(spec).exponents, top)
     a = data.draw(st.integers(min_value=0, max_value=top), label="a")
     b = data.draw(st.integers(min_value=a, max_value=top), label="b")
-    assert counting._constrained_counts(spec, a, b, "nonneg") == counts[a : b + 1]
+    assert counting._constrained_counts(spec, a, b) == counts[a : b + 1]
 
 
 def test_constrained_resource_guard():
@@ -102,7 +108,7 @@ def test_constrained_resource_guard():
     # over totals 0..800, and is refused; any one of those totals is served
     nodes = sum(t * t // 12 for t in range(801))
     with pytest.raises(ResourceLimitError, match=rf"totals 0\.\.800 with n=3 needs about {nodes} "):
-        counting._constrained_counts(ProblemSpec(3, 3), 0, 800, "nonneg")
+        counting._constrained_counts(ProblemSpec(3, 3), 0, 800)
     assert count_constrained(ProblemSpec(3, 3), 800) > 0
 
 
@@ -119,7 +125,7 @@ def test_node_cap_boundary():
             count_constrained(spec, total)
     assert counting._search_nodes(ProblemSpec(3, 3), 5653, 5653) <= cap
     spec = ProblemSpec(5, 10)
-    assert count_constrained(spec, 120) == series_coefficients(run_elimination(spec), 120)[120]
+    assert count_constrained(spec, 120) == counting._restricted_table(run_elimination(spec).exponents, 120)[120]
 
 
 @pytest.mark.parametrize("k, n, total", [(12, 12, 120), (3, 20, 163)])
@@ -147,7 +153,7 @@ def test_node_estimate_tracks_nodes_visited(monkeypatch):
             return expand(frontier, parent, *args)
 
         monkeypatch.setattr(counting, "_children", count_prefixes)
-        counting._constrained_counts(spec, total, total, "nonneg")
+        counting._constrained_counts(spec, total, total)
         estimate = counting._search_nodes(spec, total, total)
         assert 0.3 * estimate <= visited <= 1.2 * estimate, (k, n, total, visited, estimate)
 
@@ -171,13 +177,14 @@ def test_walk_blocks_match_naive(monkeypatch, positivity):
             block = default if prefixes is None else prefixes * height
             monkeypatch.setattr(counting, "_BLOCK", block)
             spec = ProblemSpec(k, n)
-            assert counting._constrained_counts(spec, 0, 12, positivity) == counts, (block, k, n)
-            for t in (0, 1, 6, 12):
-                assert counting._constrained_counts(spec, t, t, positivity) == [counts[t]]
+            if positivity == "nonneg":
+                assert counting._constrained_counts(spec, 0, 12) == counts, (block, k, n)
+            for t in (0, 1, 6, 12) if positivity == "nonneg" else range(13):
+                assert count_constrained(spec, t, positivity) == counts[t], (block, k, n, t)
     # at (3, 3) the one window reads a_1 >= a_2 + a_3, so a_2 + a_3 <= 500
     lo = 1 if positivity == "positive" else 0
     want = sum(1 for a3 in range(lo, 501) for a2 in range(a3, 501 - a3))
-    assert counting._constrained_counts(ProblemSpec(3, 3), 1000, 1000, positivity) == [want]
+    assert count_constrained(ProblemSpec(3, 3), 1000, positivity) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -190,8 +197,49 @@ def test_walk_blocks_match_naive(monkeypatch, positivity):
 def test_constrained_counts_match_naive(data, k, extra, positivity):
     b = data.draw(st.integers(min_value=0, max_value=12), label="b")
     a = data.draw(st.integers(min_value=0, max_value=b), label="a")
+    spec = ProblemSpec(k, k + extra)
     want = [naive_constrained(k, k + extra, t, positivity == "positive") for t in range(a, b + 1)]
-    assert counting._constrained_counts(ProblemSpec(k, k + extra), a, b, positivity) == want
+    if positivity == "nonneg":
+        assert counting._constrained_counts(spec, a, b) == want
+    else:
+        assert [count_constrained(spec, t, positivity) for t in range(a, b + 1)] == want
+
+
+@functools.cache
+def naive_positive(k, n, total):
+    return naive_constrained(k, n, total, positive=True)
+
+
+def cli_count(k, n, total, oracle):
+    out = io.StringIO()
+    argv = ["count", "--k", str(k), "--n", str(n), "--N-value", str(total), "--oracle", oracle]
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + ["--positivity", "positive"]) == 0
+    return int(json.loads(out.getvalue())["result"]["count"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=6),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=25),
+)
+def test_positive_counts_agree_across_oracles(k, extra, total):
+    # every oracle counts nonnegative solutions at the total less the
+    # least positive solution's, and matches the enumeration of positive ones
+    n = k + extra
+    counts = {oracle: cli_count(k, n, total, oracle) for oracle in ("brute", "parts", "series")}
+    assert set(counts.values()) == {naive_positive(k, n, total)}, counts
+
+
+def test_least_positive_total_is_the_last_part():
+    # the least positive solution's total, built from the inequalities, is
+    # the last part size by the step-Fibonacci sums and by elimination
+    for k in range(3, 13):
+        for n in range(k, k + 21):
+            least = counting._least_positive_total(k, n)
+            assert least == parts_multiset(k, n)[-1], (k, n)
+            assert least == run_elimination(ProblemSpec(k, n)).exponents[-1], (k, n)
 
 
 @pytest.mark.parametrize(
@@ -230,7 +278,7 @@ def test_partition_table_refuses_past_bounds_before_allocating():
             with pytest.raises(ResourceLimitError, match=f"limits {cells} cells, total {top}"):
                 count_restricted(parts, total)
             with pytest.raises(ResourceLimitError):
-                series_coefficients(ClosedProduct(parts), total)
+                counting._restricted_table(parts, total)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -379,7 +427,7 @@ def test_series_coefficients_basic():
 
 def test_series_agrees_with_restricted_per_total():
     product = run_elimination(ProblemSpec(4, 6))
-    coeffs = series_coefficients(product, 25)
+    coeffs = counting._restricted_table(product.exponents, 25)
     for total in range(26):
         assert coeffs[total] == count_restricted(product.exponents, total)
 
@@ -390,7 +438,7 @@ def test_series_agrees_with_direct_search_small_grid():
     # nonnegative solutions of the window system
     for k, n in [(3, 3), (3, 5), (4, 5)]:
         spec = ProblemSpec(k, n)
-        coeffs = series_coefficients(run_elimination(spec), 18)
+        coeffs = counting._restricted_table(run_elimination(spec).exponents, 18)
         for total in range(19):
             assert coeffs[total] == count_constrained(spec, total, "nonneg"), (k, n, total)
 
