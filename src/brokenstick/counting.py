@@ -24,6 +24,10 @@ nonnegative count at N - c_n, c = ``parts_multiset(k, n)`` (see
 
 ``asymptotic_ratio`` and ``limit_probability`` relate the discrete
 counts back to the continuous probabilities.
+
+Only the exhaustive walk uses numpy, and it imports numpy inside each
+function that calls it, so the other routes, and every CLI start, run
+without loading it.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ from itertools import accumulate
 from math import comb, e, factorial, lcm, log2, prod
 from operator import add
 from typing import Iterable, Literal
-
-import numpy as np
 
 from .genfib import parts_multiset
 from .omega import ClosedProduct
@@ -126,6 +128,8 @@ def _search_nodes(spec: ProblemSpec, t_min: int, t_max: int) -> int:
 def _constrained_counts(spec: ProblemSpec, t_min: int, t_max: int) -> list[int]:
     # Counts of the window system's nonnegative solutions at each total
     # t_min..t_max, by one walk over the tree of prefixes; see _walk.
+    import numpy as np
+
     k, n = spec.k, spec.n
     if n > _MAX_DEPTH:
         raise ResourceLimitError(
@@ -160,6 +164,8 @@ def _walk(
     # A block whose children pass one block hands them on one block at a
     # time, recursing, and returns; otherwise its children replace it, so
     # the walk holds at most one parent block per slot.
+    import numpy as np
+
     n = spec.n
     per_block = max(1, _BLOCK // len(frontier))
     while True:

@@ -53,6 +53,11 @@ Cost model: a run costs trials * n + 1000 * min(chunks, trials)
 trial-pieces, since only the first min(chunks, trials) blocks are
 non-empty.  A config past 1.5 * 10^8 (about 2 s) or with n > 2^22
 raises ``ResourceLimitError`` when it is built, before any draw.
+
+numpy is imported inside each function that calls it, never at module
+level: the CLI imports this module on every start for its modes and
+defaults, and a request that draws nothing should not pay numpy's
+import, which is most of an exact request's start-up time.
 """
 
 from __future__ import annotations
@@ -63,8 +68,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 from math import inf, sqrt
-
-import numpy as np
 
 from .probability import ProblemSpec, ResourceLimitError
 
@@ -181,6 +184,8 @@ def _hit_mask(mode: str, k: int, pieces: np.ndarray) -> np.ndarray:
     # the running sum along a row (np.add.accumulate: cumsum without its
     # wrapper's cost); "forall" writes it over pieces, whose column 0 it
     # keeps, instead of allocating a slab for it.
+    import numpy as np
+
     if mode in ("forall", "ngon"):
         return _mask(mode, k, pieces.T, np.add.accumulate(pieces, axis=1, out=pieces).T)
     return _mask(mode, k, pieces.T, np.add.accumulate(pieces[:, :k], axis=1).T)
@@ -192,6 +197,8 @@ def _mask(mode: str, k: int, pieces, sums) -> np.ndarray:
     # for j < k ("none", "exists").  Window i of "none" holds piece i
     # against S[i + k - 1] - S[i], the sum of its other k - 1 pieces;
     # "forall" holds the largest piece against the k - 1 smallest.
+    import numpy as np
+
     n = len(pieces)
     if mode in ("forall", "ngon"):
         return sums[0] < sums[n - 1] - sums[n - k]
@@ -234,6 +241,8 @@ def _sorted_rows(cols: np.ndarray) -> list[np.ndarray]:
     # with cols[-1] as scratch; returns the sorted rows as views of cols.
     # Each comparator writes its min to the scratch row, which then takes
     # the place of the row it came from.
+    import numpy as np
+
     *rows, spare = cols
     for i, j in _network(len(rows)):
         np.minimum(rows[i], rows[j], out=spare)
@@ -246,6 +255,8 @@ def _column_mask(mode: str, k: int, rows: list[np.ndarray]) -> np.ndarray:
     # The column kernel: rows are the n pieces of every trial, largest
     # first.  S[j] is built by adding one row at a time, the order of
     # np.add.accumulate, so every sum is the float the row kernel makes.
+    import numpy as np
+
     if mode in ("forall", "ngon"):
         for j in range(1, len(rows)):
             np.add(rows[j - 1], rows[j], out=rows[j])
@@ -259,6 +270,8 @@ def _column_mask(mode: str, k: int, rows: list[np.ndarray]) -> np.ndarray:
 def _slab_hits(mode: str, k: int, draws: np.ndarray, cols: np.ndarray | None) -> int:
     # Sorts and masks one slab of draws, overwriting it.  With cols, an
     # (n + 1, tile) buffer, the slab goes tile by tile to column-major.
+    import numpy as np
+
     if cols is None:
         draws.sort(axis=1)
         return int(np.count_nonzero(_hit_mask(mode, k, draws[:, ::-1])))
@@ -277,6 +290,8 @@ def _slabs(blocks: list[tuple[int, int]], slab_rows: int) -> Iterator[list[tuple
     # order, block after block, so a slab may hold the end of one block
     # and the start of the next.  A block's generator is made when the
     # plan reaches it.
+    import numpy as np
+
     slab, room = [], slab_rows
     for trials, seed in blocks:
         rng = np.random.default_rng(seed)
@@ -305,6 +320,8 @@ def _draw(slab: list[tuple[np.random.Generator, int]], buffer: np.ndarray) -> np
 
 def _run_blocks(mode: str, k: int, n: int, blocks: list[tuple[int, int]]) -> int:
     """Hits of the blocks, (trials, seed) pairs drawn in list order."""
+    import numpy as np
+
     total = sum(trials for trials, _ in blocks)
     slab_rows = min(max(1, _SLAB_FLOATS // n), total)
     cols = np.empty((n + 1, min(slab_rows, _TILE_ROWS))) if n <= _SMALL_N else None

@@ -4,9 +4,7 @@ import csv
 import hashlib
 import io
 import json
-import os
 import random
-import subprocess
 import sys
 import time
 import tracemalloc
@@ -18,7 +16,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import brokenstick
 from brokenstick import (
     cli,
     DEFAULT_CHUNKS,
@@ -58,6 +55,7 @@ from brokenstick.probability import (
     _none_denominator_bits,
 )
 from brokenstick.verification import _HERMITE_MAX_STEPS, _LEMMA1_MAX_NODES
+from conftest import run_module
 
 
 def run_cli(capsys, *argv):
@@ -793,29 +791,59 @@ def test_version_flag(capsys):
     assert __version__ in out
 
 
-def run_module(monkeypatch, *argv):
-    # the child interpreter imports the same package as this one
-    src = os.path.dirname(os.path.dirname(brokenstick.__file__))
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(path))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True)
-
-
 def test_module_entry_point(monkeypatch):
     proc = run_module(monkeypatch, "-m", "brokenstick.cli", "prob", "none", "--k", "4", "--n", "4")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["probability"] == "1/2"
 
 
-def test_exact_requests_leave_numpy_random_unloaded(monkeypatch):
-    # numpy loads numpy.random on first use, which costs a CLI start about
-    # 6 MiB; a request that draws nothing should not pay for it
-    code = (
-        "import sys; from brokenstick import cli; cli.main(['prob', 'none', '--k', '4', '--n', '4']);"
-        " sys.exit('numpy.random' in sys.modules)"
-    )
-    proc = run_module(monkeypatch, "-c", code)
+# One request per exact route; none of them should import numpy.
+EXACT_ROUTES = [
+    ["prob", "none", "--k", "3", "--n", "3"],
+    ["prob", "exists", "--k", "4", "--n", "6", "--decimal", "12"],
+    ["prob", "forall", "--k", "4", "--n", "6"],
+    ["prob", "ngon", "--n", "5"],
+    ["fib", "--k", "3", "--upto", "10"],
+    ["omega", "--k", "4", "--n", "6", "--trace"],
+    ["hermite", "--n", "5", "--N-value", "20"],
+    ["count", "--k", "3", "--n", "6", "--N-value", "28", "--oracle", "parts"],
+    ["count", "--k", "3", "--n", "4", "--N-value", "12", "--oracle", "series", "--positivity", "positive"],
+    ["verify", "--suite", "prop2"],
+    ["verify", "--suite", "hermite"],
+    ["verify", "--suite", "asymptotic"],
+]
+
+# Runs each request of argv[1], a JSON list, in one interpreter and prints
+# each one's exit code, result and whether numpy was loaded after it.
+_CHILD = """
+import contextlib, io, json, sys
+import brokenstick
+from brokenstick import cli
+answers = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    answers.append([code, json.loads(out.getvalue())["result"], "numpy" in sys.modules])
+print(json.dumps(answers))
+"""
+
+
+def test_exact_requests_leave_numpy_unloaded(monkeypatch):
+    # importing numpy is most of an exact request's start-up time (and
+    # numpy.random, loaded on first use, lives inside it); only the
+    # brute walk and the simulation load it, and they still answer right
+    brute = ["count", "--k", "3", "--n", "6", "--N-value", "28", "--oracle", "brute"]
+    simulate = ["simulate", "--mode", "none", "--k", "3", "--n", "5", "--trials", "20000", "--seed", "2"]
+    requests = EXACT_ROUTES + [brute, simulate]
+    proc = run_module(monkeypatch, "-c", _CHILD, json.dumps(requests))
     assert proc.returncode == 0, proc.stderr
+    codes, results, loaded = zip(*json.loads(proc.stdout))
+    assert codes == (0,) * len(requests)  # a verify suite that fails exits 4
+    assert loaded == (False,) * len(EXACT_ROUTES) + (True, True)
+    parts = results[EXACT_ROUTES.index(brute[:-1] + ["parts"])]
+    assert results[-2] == parts == {"count": "177"}
+    assert results[-1]["hits"] == "3526"  # pinned in tests/test_montecarlo.py
 
 
 def test_results_never_pass_through_str_int(monkeypatch):

@@ -30,16 +30,18 @@ from brokenstick.omega import ClosedProduct
 from brokenstick.verification import _composition_count
 
 
-def nonneg_compositions(total, n):
-    # stars and bars: bar positions among total + n - 1 slots
-    for bars in itertools.combinations(range(total + n - 1), n - 1):
-        prev = -1
-        parts = []
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(total + n - 2 - prev)
-        yield tuple(parts)
+def decreasing_vectors(total, n, lo, cap):
+    # every weakly decreasing n-vector of parts in lo..cap summing to total:
+    # the first part is at least the mean and leaves room for lo in each
+    # later slot, so each branch ends in at least one vector
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    top = total - lo * (n - 1)
+    for first in range(max(lo, -(-total // n)), min(cap, top) + 1):
+        for rest in decreasing_vectors(total - first, n - 1, lo, first):
+            yield (first, *rest)
 
 
 def window_ok(parts, k):
@@ -48,19 +50,10 @@ def window_ok(parts, k):
 
 
 def naive_constrained(k, n, total, positive):
-    # enumerate every composition, keep the sorted-decreasing ones that
-    # satisfy all window inequalities; no pruning anywhere
-    if positive:
-        if total < n:
-            return 0
-        pool = (tuple(p + 1 for p in c) for c in nonneg_compositions(total - n, n))
-    else:
-        pool = nonneg_compositions(total, n)
-    count = 0
-    for parts in pool:
-        if all(a >= b for a, b in zip(parts, parts[1:])) and window_ok(parts, k):
-            count += 1
-    return count
+    # enumerate every sorted-decreasing vector of the total (parts at least
+    # 1 if positive) and keep those that satisfy all window inequalities;
+    # the windows prune nothing, each candidate is checked in full
+    return sum(window_ok(parts, k) for parts in decreasing_vectors(total, n, int(positive), total))
 
 
 def test_constrained_known_values():

@@ -1,5 +1,6 @@
 """Simulation machinery: reproducibility, predicates, and sanity of estimates."""
 
+import json
 import sys
 import threading
 import time
@@ -23,6 +24,7 @@ from brokenstick import (
 )
 from brokenstick import montecarlo
 from brokenstick.montecarlo import MODES, _chunk_seed, _run_blocks
+from conftest import run_module
 
 
 # Scalar replay oracle: one trial at a time, the events written as
@@ -456,6 +458,43 @@ def test_concurrent_runs_keep_hits(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == {pin: pin[-1] for pin in pins}
+
+
+# Runs the pins of argv[1], a JSON list, four threads at once as above,
+# in an interpreter that has not imported numpy, then one at a time, and
+# prints both runs' hits.
+_FIRST_IMPORT_CHILD = """
+import json, sys, threading
+from brokenstick import ProblemSpec, SimConfig, estimate, montecarlo
+assert "numpy" not in sys.modules
+montecarlo._HANDOFF_FLOATS = 0
+montecarlo._SLAB_FLOATS = 1 << 10
+configs = [
+    SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, seed=seed, chunks=chunks)
+    for mode, k, n, trials, seed, chunks, _ in json.loads(sys.argv[1])
+]
+concurrent = [None] * len(configs)
+def run(i):
+    concurrent[i] = estimate(configs[i]).hits
+sys.setswitchinterval(1e-5)
+threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+print(json.dumps([concurrent, [estimate(config).hits for config in configs]]))
+"""
+
+
+def test_concurrent_runs_keep_hits_on_first_numpy_import(monkeypatch):
+    # each thread's first kernel call imports numpy while the others may
+    # be importing it too; every run keeps the hits of a serial run
+    pins = [pin for pin in PINNED if pin[2] <= 12][:4]
+    proc = run_module(monkeypatch, "-c", _FIRST_IMPORT_CHILD, json.dumps(pins))
+    assert proc.returncode == 0, proc.stderr
+    concurrent, serial = json.loads(proc.stdout)
+    assert concurrent == serial == [pin[-1] for pin in pins]
 
 
 @pytest.mark.parametrize(
