@@ -9,11 +9,11 @@ other and the closed forms:
   a block of numpy rows per step, and counts a whole range of totals in
   one pass, counting the last slot's admissible values as one run, so
   ``verify --suite lemma1`` walks each prefix once for all its totals.
-* ``count_restricted``: classical coin-style partition DP, counting by
-  part sizes (the elimination engine's output) instead of by direct
-  search.  It fills the table only to c + rL, for r part sizes of lcm
-  L and c the total mod L, and extrapolates the count, a polynomial on
-  each residue class mod L, exactly to the total.
+* ``count_restricted``: one coefficient of prod 1/(1 - q^c) over the
+  part sizes (the elimination engine's output), counting by part sizes
+  instead of by direct search.  It halves the total about log2(N / D)
+  times, D the sum of the parts, holding about D ints, and finishes by
+  the classical coin-style partition DP.
 * ``hermite_coeff``: closed-form count of compositions into n positive
   parts each at most half the total, the coefficients of the
   all-pieces polygon generating function.
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, e, factorial, lcm, log2, prod
+from math import comb, e, factorial, log2, prod
 from operator import add
 from typing import Iterable, Literal
 
@@ -74,19 +74,22 @@ _BLOCK = 1 << 16
 # a total, overflows int64, and no count passes the node estimate.
 _NO_WINDOW = 1 << 62
 
-# The coin-change DP adds one int per cell, a (part p, total s) pair
-# with p <= s <= n_max, and keeps n_max + 1 ints.  On a 2-core host it
-# did 13-15 M cells/s with counts up to 62 bits, 10 M/s at 126 bits and
-# 7 M/s with 3900-bit counts, and peaked at 564-572 MiB RSS at n_max =
-# 10^7; past either bound a table would take about 4-7 s or more, or
-# over half a GiB.
-_MAX_TABLE_CELLS = 50_000_000
+# A cell is one big-int addition: a (part p, total s) pair of the
+# coin-change DP, p <= s <= n_max, or an entry of a halving's slice.  On a
+# 2-core host tables did 13-15 M cells/s with counts up to 62 bits and
+# 7 M/s with 3900-bit counts, and held 564-572 MiB at n_max = 10^7.
+# Under the cell bound count_restricted took 7.0 s at (3, 24, 10^12), 9.0
+# * 10^7 cells, and 10.6 s at (3, 30, 8 * 10^6), 9.9 * 10^7 mostly table.
+_MAX_TABLE_CELLS = 100_000_000
 _MAX_TABLE_TOTAL = 10_000_000
 # Each slice operation of the DP replaces at most this many entries, so
 # its new ints take a few MiB beside the table.  Slicing whole residue
 # classes would raise the peak at 10^7 to about 900 MiB, and taking the
 # runs class by class rather than stretch by stretch to 640 MiB.
 _SLICE = 1 << 16
+# A halving's slice costs this many cells beyond its entries: over parts
+# (1,), two slices of two entries, a halving took 4.8 us, 56 ns a cell.
+_SLICE_CELLS = 40
 
 # hermite_coeff's cost is the binomial C(N-1, b) with b = min(n-1, N-n)
 # its smaller side, which has at most b log2(e (N-1) / b) bits.  By that
@@ -302,7 +305,8 @@ def _add_part(ways: list[int], p: int) -> None:
             ways[j : j + run] = map(add, ways[j : j + run], ways[j - p : j - p + run])
 
 
-def _check_table(parts: tuple[int, ...], n_max: int) -> None:
+def _restricted_table(parts: Iterable[int], n_max: int) -> list[int]:
+    parts = tuple(parts)
     if any(p < 1 for p in parts):
         raise ValueError(f"part sizes must be positive, got {min(parts)}")
     cells = sum(n_max + 1 - p for p in parts if p <= n_max)
@@ -311,13 +315,7 @@ def _check_table(parts: tuple[int, ...], n_max: int) -> None:
             f"a partition table to total {n_max} fills {cells} cells"
             f" (limits {_MAX_TABLE_CELLS} cells, total {_MAX_TABLE_TOTAL})"
         )
-
-
-def _restricted_table(parts: Iterable[int], n_max: int) -> list[int]:
-    parts = tuple(parts)
-    _check_table(parts, n_max)
-    ways = [0] * (n_max + 1)
-    ways[0] = 1
+    ways = [1] + [0] * n_max
     for p in parts:
         _add_part(ways, p)
     return ways
@@ -327,38 +325,58 @@ def count_restricted(parts: Iterable[int], n_value: int) -> int:
     """Partitions of n_value into parts drawn from ``parts``, repetition allowed.
 
     A repeated size in ``parts`` counts as a distinct part type, so
-    ([1, 1], s) gives s + 1, not 1.  With r the parts p <= N = n_value
-    and L their lcm, the count is a polynomial of degree r - 1 in N on
-    each residue class of N mod L, for every N >= L - sum(p) (Sylvester):
-    the generating function is P(q) / (1 - q^L)^r with deg P = rL - sum(p).
-    So the coin-change DP fills a table only to c + rL, c = N mod L,
-    and the count is extrapolated exactly from the r entries at
-    c + L, ..., c + rL by Newton's forward differences.  When c + rL is
-    not below N the count is read from the table to N.  That costs
-    O(r * min(N, (r + 1) L)) cells plus r^2 big-int operations.  The
-    guard is still on N: ``ResourceLimitError`` past 5 * 10^7 cells,
-    one per part p <= N and total p..N, or a total past 10^7.
+    ([1, 1], s) gives s + 1, not 1.  The count, [q^N] 1 / Q for Q =
+    prod (1 - q^c) and N = n_value, is read by halving N (Bostan and
+    Mori, SOSA 2021) about log2(N / D) times over about D ints, D the sum
+    of the parts, and finished by the partition table at the stage where
+    the plan's cells, one big-int addition each, are fewest.  The plan is
+    priced before any work: ``ResourceLimitError`` past 10^8 cells (about
+    10 s) or the 10^7 + 1 ints of a table to 10^7 held at once.
     """
     if n_value < 0:
         raise ValueError(f"total must be nonnegative, got {n_value}")
     parts = tuple(parts)
-    _check_table(parts, n_value)
-    used = [p for p in parts if p <= n_value]
-    period = lcm(*used)
-    c = n_value % period
-    last = c + len(used) * period
-    if last >= n_value:
-        return _restricted_table(used, n_value)[n_value]
-    # diffs holds y_1..y_r, y_j the count at c + jL, and after step i
-    # the differences of order i + 1; t is N's offset from y_1 in steps
-    diffs = _restricted_table(used, last)[c + period :: period]
-    t = (n_value - c) // period - 1
-    count, binom = 0, 1
-    for i in range(len(used)):
-        count += binom * diffs[0]
-        binom = binom * (t - i) // (i + 1)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return count
+    if any(p < 1 for p in parts):
+        raise ValueError(f"part sizes must be positive, got {min(parts)}")
+    # Q is kept as its exponents, one per factor 1 - q^c, and each stage
+    # as (total n, exponents, top, odd exponents).  A halving multiplies P
+    # by 1 + q^c for each odd c, to top entries, keeps those of n's parity
+    # and halves n.  That leaves Q a series in q^2, since (1 - q^c)(1 + q^c)
+    # is 1 - q^(2c) and an even c's 1 - q^c is one already, so each odd c
+    # stays and each even c halves.  Its cells: a slice over top entries
+    # per odd c and one for the parity, each _SLICE_CELLS more, and one per
+    # 64 bits of n shifted; a table adds n + 1 - c per factor.
+    stages, plan, spent, held, length, n = [], (0, float("inf"), 1), 0, 1, 1, n_value
+    factors = [c for c in parts if c <= n]
+    while spent < min(plan[1], _MAX_TABLE_CELLS + 1):
+        table = sum(n + 1 - c for c in factors)
+        if spent + table < plan[1]:
+            plan = (len(stages), spent + table, max(held, n + 1) if factors else held)
+        odd = [c for c in factors if c % 2]
+        top = min(length + sum(odd), n + 1)
+        stages.append((n, factors, top, odd))
+        spent += (1 + len(odd)) * (top + _SLICE_CELLS) + n.bit_length() // 64
+        held, length, n = max(held, top), (top - n % 2 + 1) // 2, n // 2
+        factors = [c for c in (c if c % 2 else c // 2 for c in factors) if c <= n]
+    # a plan not priced before the limit stopped the search costs spent or more
+    halvings, cells, held = plan[0], min(plan[1], spent), plan[2]
+    if cells > _MAX_TABLE_CELLS or held > _MAX_TABLE_TOTAL + 1:
+        raise ResourceLimitError(
+            f"counting partitions of {n_value} by halving fills at least {cells} cells, or holds"
+            f" {held} ints (limits {_MAX_TABLE_CELLS} cells, {_MAX_TABLE_TOTAL + 1} ints)"
+        )
+    p = [1]
+    for n, _, top, odd in stages[:halvings]:
+        p += [0] * (top - len(p))
+        for c in odd:
+            # the slice assignment reads all of the map before it writes P
+            p[c:] = map(add, p[c:], p)
+        p = p[n % 2 :: 2]
+    n, factors, _, _ = stages[halvings]
+    p += [0] * (n + 1 - len(p)) if factors else []
+    for c in factors:
+        _add_part(p, c)
+    return p[n] if n < len(p) else 0
 
 
 def series_coefficients(product: ClosedProduct, n_max: int) -> list[int]:
@@ -407,9 +425,8 @@ def asymptotic_ratio(spec: ProblemSpec, n_value: int) -> Fraction:
     With r part sizes of product P, partitions of N into those parts
     number N^(r-1) / ((r-1)! P) to leading order; the exact ratio
     returned here tends to 1 as n_value grows.  The count is
-    ``count_restricted``'s: O(r * min(N, (r + 1) L)) cells plus r^2
-    big-int operations, L the lcm of the parts p <= N, under the same
-    guard on N (5 * 10^7 cells of a table to N, total 10^7).
+    ``count_restricted``'s: about log2(N / D) halvings over about D ints,
+    D the sum of the parts, under its guard of 10^8 cells.
     """
     if n_value < 1:
         raise ValueError(f"total must be positive, got {n_value}")

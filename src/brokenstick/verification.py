@@ -148,9 +148,7 @@ def suite_prop2(
 
 
 def suite_asymptotic(
-    big_total: int = 100_000,
-    small_total: int = 1_000,
-    rel_tol: float = 0.02,
+    big_total: int = 100_000, small_total: int = 1_000, rel_tol: float = 0.02
 ) -> list[Check]:
     """Leading-order growth of the restricted-partition counts.
 
@@ -159,33 +157,16 @@ def suite_asymptotic(
     big total and be closer to 1 there than at the small total.
     """
     spec = ProblemSpec(3, 4)
-    parts = parts_multiset(spec.k, spec.n)
-    checks = [
-        Check(
-            "part sizes for (3, 4)",
-            tuple(sorted(parts)) == (1, 2, 4, 7),
-            f"got {tuple(sorted(parts))}",
-        )
+    got = tuple(sorted(parts_multiset(spec.k, spec.n)))
+    r_big, r_small = asymptotic_ratio(spec, big_total), asymptotic_ratio(spec, small_total)
+    gap_big, gap_small = abs(r_big - 1), abs(r_small - 1)
+    return [
+        Check("part sizes for (3, 4)", got == (1, 2, 4, 7), f"got {got}"),
+        Check(f"ratio within {rel_tol} of 1 at total {big_total}", gap_big <= rel_tol,
+              f"ratio {float(r_big):.6f}"),
+        Check(f"ratio closer to 1 at {big_total} than at {small_total}", gap_big < gap_small,
+              f"gap {float(gap_big):.2e} vs {float(gap_small):.2e}"),
     ]
-    r_big = asymptotic_ratio(spec, big_total)
-    r_small = asymptotic_ratio(spec, small_total)
-    gap_big = abs(r_big - 1)
-    gap_small = abs(r_small - 1)
-    checks.append(
-        Check(
-            f"ratio within {rel_tol} of 1 at total {big_total}",
-            gap_big <= rel_tol,
-            f"ratio {float(r_big):.6f}",
-        )
-    )
-    checks.append(
-        Check(
-            f"ratio closer to 1 at {big_total} than at {small_total}",
-            gap_big < gap_small,
-            f"gap {float(gap_big):.2e} vs {float(gap_small):.2e}",
-        )
-    )
-    return checks
 
 
 def _composition_count(n: int, total: int) -> int:

@@ -43,7 +43,7 @@ from brokenstick.cli import (
     _to_decimal,
     main,
 )
-from brokenstick.counting import _HERMITE_MAX_BITS, _MAX_DEPTH, _MAX_TABLE_TOTAL
+from brokenstick.counting import _HERMITE_MAX_BITS, _MAX_DEPTH, _MAX_TABLE_CELLS, _MAX_TABLE_TOTAL
 from brokenstick.genfib import _TABLE_MAX_BITS, _TABLE_MAX_ENTRIES
 from brokenstick.montecarlo import _BLOCK_WORK, _MAX_WORK
 from brokenstick.omega import _OMEGA_MAX_STEPS, _OMEGA_MAX_TRACE_BYTES, _omega_cost
@@ -503,13 +503,16 @@ def test_count_series_refuses_elimination_past_bound(capsys, monkeypatch):
 
 
 def test_count_refuses_table_past_bound_before_allocating(capsys):
+    # (3, 30) sums its parts to 5.7 * 10^6, so every plan to 10^12 passes
+    # the cell bound
     tracemalloc.start()
     try:
         for oracle in ("parts", "series"):
-            argv = ("--k", "3", "--n", "3", "--N-value", str(_MAX_TABLE_TOTAL + 1))
+            argv = ("--k", "3", "--n", "30", "--N-value", str(10**12))
             code, out, err = run_cli(capsys, "count", *argv, "--oracle", oracle)
             assert (code, out) == (3, ""), oracle
-            assert f"total {_MAX_TABLE_TOTAL})" in err
+            assert "counting partitions of 1000000000000 by halving fills at least" in err
+            assert f"(limits {_MAX_TABLE_CELLS} cells, {_MAX_TABLE_TOTAL + 1} ints)" in err
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -711,6 +714,14 @@ def test_verify_suite_kwargs(capsys):
     record = run_json(capsys, "verify", "--suite", "lemma1", "--max-total", "10")
     assert record["params"] == {"suite": "lemma1", "max_total": 10}
     assert record["result"]["passed"] is True
+
+
+def test_verify_asymptotic_reaches_large_totals(capsys):
+    # the count halves its total, so 10^12 takes a few dozen halvings
+    record = run_json(capsys, "verify", "--suite", "asymptotic", "--ratio-n", str(10**12))
+    assert record["params"] == {"suite": "asymptotic", "big_total": 10**12}
+    assert record["result"]["passed"] is True
+    assert record["result"]["failed"] == "0"
 
 
 def test_verify_failing_suite_exits_4(capsys):

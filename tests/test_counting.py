@@ -5,7 +5,6 @@ import functools
 import io
 import itertools
 import json
-import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -265,13 +264,19 @@ def test_partition_table_refuses_past_bounds_before_allocating():
     # fill top cells each, and a part of size top + 1 - r fills r more
     q, r = divmod(cells + 1, top)
     past_cells = (1,) * q + ((top + 1 - r,) if r else ())
+    ints = f"limits {cells} cells, {top + 1} ints"
     tracemalloc.start()
     try:
         for parts, total in ((past_cells, top), ((top + 1,), top + 1)):
             with pytest.raises(ResourceLimitError, match=f"limits {cells} cells, total {top}"):
-                count_restricted(parts, total)
-            with pytest.raises(ResourceLimitError):
                 counting._restricted_table(parts, total)
+        # every plan for (3, 30) at 10^12 passes the cell bound: the parts
+        # sum to 5.7 * 10^6, so each halving's slices span millions of ints
+        with pytest.raises(ResourceLimitError, match=ints):
+            count_restricted(parts_multiset(3, 30), 10**12)
+        # one cell, but a table of top + 2 ints
+        with pytest.raises(ResourceLimitError, match=ints):
+            count_restricted((top + 1,), top + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -283,10 +288,17 @@ def test_partition_table_refuses_past_bounds_before_allocating():
 def test_partition_table_serves_at_the_cell_bound(monkeypatch):
     # a table at the real bound takes seconds, so the bound is lowered
     monkeypatch.setattr(counting, "_MAX_TABLE_CELLS", 1000)
-    assert count_restricted((1,), 1000) == 1
-    assert count_restricted((1, 1), 500) == 501
+    assert counting._restricted_table((1,), 1000)[1000] == 1
+    assert counting._restricted_table((1, 1), 500)[500] == 501
     with pytest.raises(ResourceLimitError):
-        count_restricted((1,), 1001)
+        counting._restricted_table((1,), 1001)
+    # a halving's two slices cost over 2 * _SLICE_CELLS cells, more than
+    # a table to 40, so each plan here is the table alone
+    monkeypatch.setattr(counting, "_MAX_TABLE_CELLS", 40)
+    assert count_restricted((1,), 40) == 1
+    assert count_restricted((1, 1), 20) == 21
+    with pytest.raises(ResourceLimitError, match="fills at least 41 cells"):
+        count_restricted((1,), 41)
 
 
 def slow_restricted(parts, total):
@@ -351,34 +363,30 @@ def test_table_slices_match_the_loop(parts, n_max, slice_len):
     st.lists(st.integers(min_value=1, max_value=6), max_size=5),
     st.integers(min_value=0, max_value=2000),
 )
-def test_restricted_extrapolation_matches_full_table(parts, total):
-    # parts from 1..6 keep the lcm at most 60, so most totals extrapolate
+def test_restricted_halving_matches_full_table(parts, total):
+    # parts from 1..6 keep the sum of the parts at most 30, so most totals
+    # halve several times before the table finishes
     assert count_restricted(iter(parts), total) == counting._restricted_table(parts, total)[total]
 
 
-def record_table_totals(monkeypatch):
-    totals = []
-    table = counting._restricted_table
+@pytest.mark.parametrize(
+    "k, n", [(3, 3), (3, 4), (4, 5), (3, 6), (5, 7), (3, 8), (12, 12), (3, 10), (4, 8)]
+)
+def test_restricted_matches_the_table_on_the_grid(k, n):
+    # predicted parts and eliminated exponents, at totals from none halved
+    # to many halvings
+    totals = (0, 1, 5, 37, 100, 999, 12345)
+    for parts in (parts_multiset(k, n), run_elimination(ProblemSpec(k, n)).exponents):
+        table = counting._restricted_table(parts, totals[-1])
+        assert [count_restricted(parts, t) for t in totals] == [table[t] for t in totals]
 
-    def spy(parts, n_max):
-        totals.append(n_max)
-        return table(parts, n_max)
 
-    monkeypatch.setattr(counting, "_restricted_table", spy)
-    return totals
-
-
-@pytest.mark.parametrize("parts", [(2, 3), (2, 3, 5), (1, 1, 4), (3, 4, 4)])
-def test_restricted_at_the_extrapolation_switch(parts, monkeypatch):
-    # the table stops at c + rL, c = N mod L, and is read directly once
-    # that reaches N; each class is checked on both sides of the switch
-    r, period = len(parts), math.lcm(*parts)
-    totals = record_table_totals(monkeypatch)
-    for c in range(period):
-        for total in (c + r * period - 1, c + r * period, c + r * period + 1, c + (r + 1) * period):
-            totals.clear()
-            assert count_restricted(parts, total) == slow_restricted(parts, total), total
-            assert totals == [min(total, total % period + r * period)], total
+def test_restricted_halves_where_the_odd_parts_pass_the_total():
+    # eight 2s make halving pay though the odd parts sum past the total,
+    # so P is cut at the total, whose last term q^1000 = q^499 q^501 counts
+    parts = (2,) * 8 + (3, 499, 501)
+    table = counting._restricted_table(parts, 1001)
+    assert [count_restricted(parts, t) for t in (999, 1000, 1001)] == table[999:]
 
 
 def test_restricted_no_parts_and_one_part():
@@ -389,26 +397,26 @@ def test_restricted_no_parts_and_one_part():
     assert count_restricted((7,), 700_000) == 1
     assert count_restricted((7, 10**9), 1_000_000) == 0
     assert count_restricted((7,), 1_000_005) == 0
-
-
-def test_restricted_table_stops_at_the_last_sample(monkeypatch):
-    # L = 28 and 10^5 = 12 (mod 28), so the table ends at 12 + 4 * 28
-    totals = record_table_totals(monkeypatch)
-    assert count_restricted((1, 2, 4, 7), 10**5) == 2976815517858
-    assert totals == [124]
+    assert count_restricted((), 10**100) == 0
+    assert count_restricted((1,), 10**100) == 1
 
 
 def test_restricted_pinned_against_the_full_table():
-    # read from the table filled to 10^6 before the count extrapolated
+    # read from tables filled to 10^5 and 10^6
+    assert count_restricted((1, 2, 4, 7), 10**5) == 2976815517858
     assert count_restricted((1, 2, 4, 7), 10**6) == 2976252976607144
 
 
-def test_restricted_guard_is_on_the_requested_total(monkeypatch):
-    # the table would stop at a few cells, but the total is past the bound
-    totals = record_table_totals(monkeypatch)
-    with pytest.raises(ResourceLimitError, match="total 10000001 fills"):
-        count_restricted((1, 2), counting._MAX_TABLE_TOTAL + 1)
-    assert totals == []
+def test_restricted_pinned_past_the_old_bounds():
+    # (3, 10) pinned from a partition table filled to 5 * 10^6, which took
+    # 7.5 s; the halving takes milliseconds
+    start = time.perf_counter()
+    count = count_restricted(parts_multiset(3, 10), 5 * 10**6)
+    assert time.perf_counter() - start < 5
+    assert count == 17864201086725911288020220649811568648260178
+    # (3, 4) pinned from the count's polynomial on each class mod 28, the
+    # lcm of the parts, extrapolated by Newton differences
+    assert count_restricted(parts_multiset(3, 4), 10**7 + 1) == 2976197619052500001
 
 
 def test_series_coefficients_basic():
