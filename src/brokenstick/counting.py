@@ -54,9 +54,9 @@ Positivity = Literal["nonneg", "positive"]
 
 # Exhaustive search refuses a range of totals whose estimated search
 # nodes exceed this; see _search_nodes.  On a 2-core host the largest
-# totals served at (3, 3), (3, 20), (4, 60), (8, 30) and (12, 12) took
-# 0.04-0.25 s.  Each window slack a prefix carries adds to a node's cost:
-# (250, 500, 85), 249 slacks per prefix, took 2.4-3.2 s.
+# totals served at 94 shapes with k <= 12 and n <= 40 took 0.06-0.39 s,
+# slowest at (12, 20, 187).  Each window slack a prefix carries adds to a
+# node's cost: (250, 500, 85), 249 slacks per prefix, took 2.4-3.2 s.
 _NODE_CAP = 4_000_000
 # The walk recurses at most once per slot, from a block whose children it
 # splits, so it refuses n past half of CPython's default recursion limit
@@ -69,9 +69,9 @@ _MAX_DEPTH = 500
 # the traced peak at (12, 12, 90) doubled to 22 MiB.
 _BLOCK = 1 << 16
 # The slack of a window that is not open, past every cap.  The node cap
-# bounds every total served far below 2^62 (below 4 * 10^4 for n <= 500,
-# where t^(n-1) / (n! (n-1)!) passes it), so no entry, even this one less
-# a total, overflows int64, and no count passes the node estimate.
+# bounds every total served far below 2^62 (below about 5,700 by the
+# t^2 / 16 solutions of _search_nodes), so no entry, even this one less a
+# total, overflows int64, and no count passes the node estimate.
 _NO_WINDOW = 1 << 62
 
 # A cell is one big-int addition: a (part p, total s) pair of the
@@ -101,39 +101,32 @@ _HERMITE_MAX_BITS = 1_200_000
 
 def _search_nodes(spec: ProblemSpec, t_min: int, t_max: int) -> int:
     # Nodes that _walk visits for totals t_min..t_max (the root and every
-    # prefix it expands), estimated as the larger of two counts.  The
-    # first puts 2n - k - 1 nodes on each solution: its leaf has n - 1
-    # ancestors, and the windows add dead ends that the bound on the
-    # remaining total does not see.  From (3, 3) to (12, 12) and (3, 40),
-    # totals up to 3000, the nodes visited were 0.3-1.2 times that count.
-    # The solutions come from the coin DP over parts_multiset(k, n),
-    # stopped once past the cap.  The second, the leading term
-    # t^(n-1) / (n! (n-1)!) of the partitions of t into n parts, was the
-    # estimate alone before; it undercounted the nodes 8-fold at (12, 12,
-    # 95), 43-fold at (3, 20, 130) and 1750-fold at (3, 20, 100), and it
-    # is kept so that no total it refused is served now.
+    # prefix it expands), estimated as 2n - k - 1 per solution: its leaf
+    # has n - 1 ancestors, and the windows add dead ends that the bound on
+    # the remaining total does not see.  From (3, 3) to (12, 12) and (3, 40),
+    # totals up to 3000, the nodes visited were 0.3-1.2 times that.  The
+    # solutions are count_restricted's over parts_multiset(k, n); those of a
+    # range are the partitions of t_max into the parts and one more part 1,
+    # less those of t_min - 1.  Parts 1, 2 and 4 are in every such multiset,
+    # so t_max alone has at least t_max^2 / 16 solutions; a range past the
+    # cap by that is refused before count_restricted, which thus sees only
+    # totals below about 5,700.
     k, n = spec.k, spec.n
-    denom = factorial(n) * factorial(n - 1)
-    partitions = sum(t ** (n - 1) // denom for t in range(t_min, t_max + 1))
-    if partitions > _NODE_CAP:
-        return partitions
     per_solution = 2 * n - k - 1
-    ways = [1] + [0] * t_max
-    nodes = per_solution * sum(ways[t_min:])
-    for p in sorted(parts_multiset(k, n)):
-        if p > t_max or nodes > _NODE_CAP:
-            break
-        _add_part(ways, p)
-        nodes = per_solution * sum(ways[t_min:])
-    return max(partitions, nodes)
+    least = per_solution * (t_max * t_max // 16)
+    if least > _NODE_CAP:
+        return least
+    parts = parts_multiset(k, n)
+    if t_min == t_max:
+        return per_solution * count_restricted(parts, t_max)
+    parts += (1,)
+    below = count_restricted(parts, t_min - 1) if t_min else 0
+    return per_solution * (count_restricted(parts, t_max) - below)
 
 
-def _constrained_counts(spec: ProblemSpec, t_min: int, t_max: int) -> list[int]:
-    # Counts of the window system's nonnegative solutions at each total
-    # t_min..t_max, by one walk over the tree of prefixes; see _walk.
-    import numpy as np
-
-    k, n = spec.k, spec.n
+def _check_walk(spec: ProblemSpec, t_min: int, t_max: int) -> None:
+    # Refuses a walk over totals t_min..t_max past _MAX_DEPTH or _NODE_CAP.
+    n = spec.n
     if n > _MAX_DEPTH:
         raise ResourceLimitError(
             f"exhaustive search over n={n} pieces recurses past depth {_MAX_DEPTH}"
@@ -144,9 +137,17 @@ def _constrained_counts(spec: ProblemSpec, t_min: int, t_max: int) -> list[int]:
         raise ResourceLimitError(
             f"{totals} with n={n} needs about {estimate} search nodes (limit {_NODE_CAP})"
         )
+
+
+def _constrained_counts(spec: ProblemSpec, t_min: int, t_max: int) -> list[int]:
+    # Counts of the window system's nonnegative solutions at each total
+    # t_min..t_max, by one walk over the tree of prefixes; see _walk.
+    import numpy as np
+
+    _check_walk(spec, t_min, t_max)
     runs = np.zeros(t_max - t_min + 2, np.int64)
     # the empty prefix, under no window yet; at most this many are open at once
-    windows = min(k - 1, n - k + 1)
+    windows = min(spec.k - 1, spec.n - spec.k + 1)
     root = np.array([[t_max], [t_max]] + [[_NO_WINDOW]] * windows, np.int64)
     _walk(root, 0, spec, t_min, t_max, runs)
     return np.cumsum(runs[:-1]).tolist()
@@ -268,9 +269,10 @@ def count_constrained(
 
     Raises ``ResourceLimitError`` for n > 500, since the walk may recurse
     once per piece, and when it would visit more than 4 * 10^6 nodes by
-    the estimate at the total it walks: the larger of the partition count
-    t^(n-1) / (n! (n-1)!) and 2n - k - 1 nodes per solution, the
-    solutions counted by the partition DP over ``parts_multiset``.
+    the estimate at the total it walks: 2n - k - 1 nodes per solution,
+    the solutions read by ``count_restricted`` over ``parts_multiset``.
+    Parts 1, 2 and 4 give a total t at least t^2 / 16 solutions, so a
+    large total is refused by that bound before any count.
     """
     if n_value < 0:
         raise ValueError(f"total must be nonnegative, got {n_value}")
@@ -331,7 +333,8 @@ def count_restricted(parts: Iterable[int], n_value: int) -> int:
     of the parts, and finished by the partition table at the stage where
     the plan's cells, one big-int addition each, are fewest.  The plan is
     priced before any work: ``ResourceLimitError`` past 10^8 cells (about
-    10 s) or the 10^7 + 1 ints of a table to 10^7 held at once.
+    10 s) or the 10^7 + 1 ints of a table to 10^7 held at once, and at
+    once for a b-bit total with b^2 / 128 past 10^8.
     """
     if n_value < 0:
         raise ValueError(f"total must be nonnegative, got {n_value}")
@@ -345,9 +348,17 @@ def count_restricted(parts: Iterable[int], n_value: int) -> int:
     # is 1 - q^(2c) and an even c's 1 - q^c is one already, so each odd c
     # stays and each even c halves.  Its cells: a slice over top entries
     # per odd c and one for the parity, each _SLICE_CELLS more, and one per
-    # 64 bits of n shifted; a table adds n + 1 - c per factor.
+    # 64 bits of n shifted; a table adds n + 1 - c per factor.  A plan
+    # that keeps a factor halves a b-bit n until its table of n + 1 ints
+    # fits, or until its odd parts, each a cell per unit every halving,
+    # pass n: all but about 27 of b halvings.  Their shifts and slices cost
+    # over b^2 / 128 cells, so a total past the limit by that is refused
+    # without a plan.
     stages, plan, spent, held, length, n = [], (0, float("inf"), 1), 0, 1, 1, n_value
     factors = [c for c in parts if c <= n]
+    bits = n.bit_length()
+    if factors and bits * bits // 128 > _MAX_TABLE_CELLS:
+        spent = bits * bits // 128
     while spent < min(plan[1], _MAX_TABLE_CELLS + 1):
         table = sum(n + 1 - c for c in factors)
         if spent + table < plan[1]:
@@ -361,9 +372,13 @@ def count_restricted(parts: Iterable[int], n_value: int) -> int:
     # a plan not priced before the limit stopped the search costs spent or more
     halvings, cells, held = plan[0], min(plan[1], spent), plan[2]
     if cells > _MAX_TABLE_CELLS or held > _MAX_TABLE_TOTAL + 1:
+        # both are named up to one past their limit, since a count of a huge
+        # total's size may have too many digits to print
+        cells, held = min(cells, _MAX_TABLE_CELLS + 1), min(held, _MAX_TABLE_TOTAL + 2)
         raise ResourceLimitError(
-            f"counting partitions of {n_value} by halving fills at least {cells} cells, or holds"
-            f" {held} ints (limits {_MAX_TABLE_CELLS} cells, {_MAX_TABLE_TOTAL + 1} ints)"
+            f"counting partitions of a {bits}-bit total by halving fills at least {cells} cells,"
+            f" or holds at least {held} ints"
+            f" (limits {_MAX_TABLE_CELLS} cells, {_MAX_TABLE_TOTAL + 1} ints)"
         )
     p = [1]
     for n, _, top, odd in stages[:halvings]:

@@ -31,14 +31,13 @@ sums over the sorted slab, so a run holds 2 to 3.5 MiB whatever its
 trial count.  While the caller sorts and masks one slab, a helper thread
 draws the next into the other buffer; numpy releases the GIL in all
 three, so on two cores the draw, over half of a slab's time at n >= 20,
-runs beside the rest.  A run of one slab, of slabs under 2^15 floats, or in a
-process that may use one CPU only stays on the caller's thread.  "none"
-and "exists" check window 0 on the whole slab and each later window only
-while some row is left undecided; at n well above k that ends after a
-window or two.  n itself is capped at 2^22.  PCG64 fills rows one after
-another and each block keeps its own generator, so hits depend neither
-on the slab size, nor on how blocks share slabs, nor on which thread
-draws.
+runs beside the rest.  A run of one slab, or in a process that may use
+one CPU only, stays on the caller's thread.  "none" and "exists" check
+window 0 on the whole slab and each later window only while some row is
+left undecided; at n well above k that ends after a window or two.  n
+itself is capped at 2^22.  PCG64 fills rows one after another and each
+block keeps its own generator, so hits depend neither on the slab size,
+nor on how blocks share slabs, nor on which thread draws.
 
 Up to n = 10 a slab is sorted and masked column-major instead, since
 numpy's row sort costs about as much per row at n = 3 as at n = 10.
@@ -67,7 +66,7 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
-from math import inf, sqrt
+from math import sqrt
 
 from .probability import ProblemSpec, ResourceLimitError
 
@@ -98,14 +97,6 @@ _SMALL_N = 10
 _TILE_ROWS = 1 << 13
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-# Smallest slab, in floats, whose draws go to a helper thread (see the
-# module docstring); none do where this process may use one CPU only.
-# Runs of eight one-slab blocks on a 2-core host: with the second core
-# free, handing off lost up to 46% at 2^13 floats (starting the helper
-# and the hand-offs cost 0.2-0.4 ms) and won up to 45% at 2^15 to 2^17
-# for n >= 30; with it busy, it lost 30-81% at 2^11 and 1-12% at 2^15.
-_HANDOFF_FLOATS = 1 << 15 if _CPUS > 1 else inf
 
 # Cost model in trial-pieces (see the module docstring).  On a 2-core
 # host, on one thread, the kernel did 150-160 M trial-pieces/s at n = 3
@@ -326,7 +317,7 @@ def _run_blocks(mode: str, k: int, n: int, blocks: list[tuple[int, int]]) -> int
     slab_rows = min(max(1, _SLAB_FLOATS // n), total)
     cols = np.empty((n + 1, min(slab_rows, _TILE_ROWS))) if n <= _SMALL_N else None
     slabs = _slabs(blocks, slab_rows)
-    if slab_rows * n >= _HANDOFF_FLOATS and total > slab_rows:
+    if _CPUS > 1 and total > slab_rows:
         return _overlapped_hits(mode, k, slabs, np.empty((2, slab_rows, n)), cols)
     draws = np.empty((slab_rows, n))
     return sum(_slab_hits(mode, k, _draw(slab, draws), cols) for slab in slabs)

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
-from .counting import _constrained_counts, _restricted_table, asymptotic_ratio, hermite_coeff
+from .counting import (
+    _check_walk, _constrained_counts, _restricted_table, asymptotic_ratio, hermite_coeff
+)
 from .genfib import f_sum, parts_multiset
 from .montecarlo import _MAX_WORK, DEFAULT_CHUNKS, DEFAULT_SEED, SimConfig, _work, estimate
 from .omega import run_elimination
@@ -29,15 +31,6 @@ __all__ = [
     "run_suite",
 ]
 
-
-# suite_lemma1's cost is its exhaustive search, one pass over totals
-# 0..T per (k, n).  It estimates t^(n-1) / (n! (n-1)!) nodes at total t,
-# which sum to under (T+1)^n / (n n! (n-1)!) over totals 0..T.  The
-# estimate grows faster in T than the search does; on a 2-core host the
-# default grid took 16 ms at T = 60 (0.89 M estimated nodes) and 51 ms
-# at 75 (3.6 M).  The limit sits where an earlier, recursive search took
-# about 10 s per total, so that the totals served do not move.
-_LEMMA1_MAX_NODES = 3_700_000
 
 # suite_hermite's cost is its composition DP: about 3 n t^2 / 8 additions
 # at total t, so n T^3 / 8 over totals 0..T.  The default n = 3, 4, 5
@@ -74,38 +67,38 @@ def suite_lemma1(
     the series expansion of the eliminated closed product, the
     partition DP over the predicted part sizes, and the exhaustive
     count of nonnegative solutions of the window system.  All three
-    must agree for every total up to ``max_total``.  Past the cost bound
-    above (max_total 75 on the default grid) raises ``ResourceLimitError``.
+    must agree for every total up to ``max_total``.  The exhaustive count
+    is the suite's cost: before any of it, a (k, n) whose walk over totals
+    0..``max_total`` passes the walk's node cap raises
+    ``ResourceLimitError`` (past max_total 107 on the default grid).
     """
-    nodes = sum(
-        (max_total + 1) ** n // (n * factorial(n) * factorial(n - 1))
-        for k in k_values
-        for n in range(k, k + n_extra + 1)
-    )
-    _check_total("lemma1", max_total, nodes, _LEMMA1_MAX_NODES, "search nodes")
+    if max_total < 0:
+        raise ValueError(f"truncation order must be nonnegative, got {max_total}")
+    grid = [ProblemSpec(k, n) for k in k_values for n in range(k, k + n_extra + 1)]
+    for spec in grid:
+        _check_walk(spec, 0, max_total)
     checks = []
-    for k in k_values:
-        for n in range(k, k + n_extra + 1):
-            spec = ProblemSpec(k, n)
-            coeffs = _restricted_table(run_elimination(spec).exponents, max_total)
-            by_parts = _restricted_table(parts_multiset(k, n), max_total)
-            direct = _constrained_counts(spec, 0, max_total)
-            bad = None
-            for total in range(max_total + 1):
-                if coeffs[total] != direct[total] or by_parts[total] != direct[total]:
-                    bad = (total, coeffs[total], by_parts[total], direct[total])
-                    break
-            name = f"series/parts/direct counts agree, k={k} n={n} totals 0..{max_total}"
-            if bad is None:
-                checks.append(Check(name, True, "all three routes agree"))
-            else:
-                checks.append(
-                    Check(
-                        name,
-                        False,
-                        f"total {bad[0]}: series {bad[1]}, parts {bad[2]}, direct {bad[3]}",
-                    )
+    for spec in grid:
+        k, n = spec.k, spec.n
+        coeffs = _restricted_table(run_elimination(spec).exponents, max_total)
+        by_parts = _restricted_table(parts_multiset(k, n), max_total)
+        direct = _constrained_counts(spec, 0, max_total)
+        bad = None
+        for total in range(max_total + 1):
+            if coeffs[total] != direct[total] or by_parts[total] != direct[total]:
+                bad = (total, coeffs[total], by_parts[total], direct[total])
+                break
+        name = f"series/parts/direct counts agree, k={k} n={n} totals 0..{max_total}"
+        if bad is None:
+            checks.append(Check(name, True, "all three routes agree"))
+        else:
+            checks.append(
+                Check(
+                    name,
+                    False,
+                    f"total {bad[0]}: series {bad[1]}, parts {bad[2]}, direct {bad[3]}",
                 )
+            )
     return checks
 
 

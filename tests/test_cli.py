@@ -43,7 +43,13 @@ from brokenstick.cli import (
     _to_decimal,
     main,
 )
-from brokenstick.counting import _HERMITE_MAX_BITS, _MAX_DEPTH, _MAX_TABLE_CELLS, _MAX_TABLE_TOTAL
+from brokenstick.counting import (
+    _HERMITE_MAX_BITS,
+    _MAX_DEPTH,
+    _MAX_TABLE_CELLS,
+    _MAX_TABLE_TOTAL,
+    _NODE_CAP,
+)
 from brokenstick.genfib import _TABLE_MAX_BITS, _TABLE_MAX_ENTRIES
 from brokenstick.montecarlo import _BLOCK_WORK, _MAX_WORK
 from brokenstick.omega import _OMEGA_MAX_STEPS, _OMEGA_MAX_TRACE_BYTES, _omega_cost
@@ -54,7 +60,7 @@ from brokenstick.probability import (
     _forall_steps,
     _none_denominator_bits,
 )
-from brokenstick.verification import _HERMITE_MAX_STEPS, _LEMMA1_MAX_NODES
+from brokenstick.verification import _HERMITE_MAX_STEPS
 from conftest import run_module
 
 
@@ -511,7 +517,7 @@ def test_count_refuses_table_past_bound_before_allocating(capsys):
             argv = ("--k", "3", "--n", "30", "--N-value", str(10**12))
             code, out, err = run_cli(capsys, "count", *argv, "--oracle", oracle)
             assert (code, out) == (3, ""), oracle
-            assert "counting partitions of 1000000000000 by halving fills at least" in err
+            assert "counting partitions of a 40-bit total by halving fills at least" in err
             assert f"(limits {_MAX_TABLE_CELLS} cells, {_MAX_TABLE_TOTAL + 1} ints)" in err
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -521,9 +527,9 @@ def test_count_refuses_table_past_bound_before_allocating(capsys):
 
 def test_count_brute_refuses_depth_before_estimating(capsys, monkeypatch):
     # the search recurses once per piece: n = 997 used to die of RecursionError,
-    # n = 10^6 spent 20 s on factorial(n) for the node estimate first, and a
-    # positive request would build the least positive total, up to n bits
-    monkeypatch.setattr(counting, "factorial", _fail)
+    # n = 10^6 once spent 20 s on the node estimate first, and a positive
+    # request would build the least positive total, up to n bits
+    monkeypatch.setattr(counting, "_search_nodes", _fail)
     monkeypatch.setattr(counting, "_least_positive_total", _fail)
     for n, positivity in (
         (_MAX_DEPTH + 1, "nonneg"), (997, "nonneg"), (10**6, "nonneg"),
@@ -593,8 +599,8 @@ def test_verify_suites_refuse_totals_past_bound(capsys, monkeypatch):
     for suite, served, limit, count, wrong, series in (
         (
             "lemma1",
-            75,
-            _LEMMA1_MAX_NODES,
+            107,
+            _NODE_CAP,
             "_constrained_counts",
             lambda spec, t_min, t_max: [-1] * (t_max - t_min + 1),
             "run_elimination",

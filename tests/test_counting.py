@@ -96,39 +96,77 @@ def test_constrained_resource_guard():
         count_constrained(ProblemSpec(3, 3), 10**6)
     # near the documented envelope but inside it
     assert count_constrained(ProblemSpec(3, 4), 150) > 0
-    # a range sums the per-total estimates t^2 / (3! 2!), about 1.4 * 10^7
-    # over totals 0..800, and is refused; any one of those totals is served
-    nodes = sum(t * t // 12 for t in range(801))
+    # a range puts two nodes on each solution at totals 0..800, about
+    # 2.2 * 10^7, and is refused; any one of those totals is served
+    nodes = 2 * sum(counting._restricted_table((1, 2, 4), 800))
+    assert nodes == 21654802
     with pytest.raises(ResourceLimitError, match=rf"totals 0\.\.800 with n=3 needs about {nodes} "):
         counting._constrained_counts(ProblemSpec(3, 3), 0, 800)
     assert count_constrained(ProblemSpec(3, 3), 800) > 0
 
 
 def test_node_cap_boundary():
-    # one total on each side of the cap: at n = 3 the estimate is two
-    # nodes per solution and passes it at N = 5654; at n = 10 the
-    # partition count N^(n-1) / (n! (n-1)!) passes it at N = 121, and the
-    # last served total takes about 1 s and agrees with the series route
+    # one total on each side of the cap: the estimate is 2n - k - 1
+    # nodes per solution, two at (3, 3), where it passes the cap at
+    # N = 5654, and 14 at (5, 10), where it passes it at N = 212; the
+    # last served total takes under a second and agrees with the series
+    # route
     cap = counting._NODE_CAP
-    refused = ((ProblemSpec(3, 3), 5654, 4001620), (ProblemSpec(5, 10), 121, 4222233))
+    refused = ((ProblemSpec(3, 3), 5654, 4001620), (ProblemSpec(5, 10), 212, 4027884))
     for spec, total, nodes in refused:
         message = rf"total {total} with n={spec.n} needs about {nodes} search nodes \(limit {cap}\)"
         with pytest.raises(ResourceLimitError, match=message):
             count_constrained(spec, total)
     assert counting._search_nodes(ProblemSpec(3, 3), 5653, 5653) <= cap
     spec = ProblemSpec(5, 10)
-    assert count_constrained(spec, 120) == counting._restricted_table(run_elimination(spec).exponents, 120)[120]
+    assert counting._search_nodes(spec, 211, 211) <= cap
+    series = counting._restricted_table(run_elimination(spec).exponents, 211)[211]
+    assert count_constrained(spec, 211) == series == 279017
 
 
 @pytest.mark.parametrize("k, n, total", [(12, 12, 120), (3, 20, 163)])
 def test_node_estimate_refuses_slow_searches_before_searching(k, n, total):
-    # the partition count N^(n-1) / (n! (n-1)!) was under the cap at both,
-    # and the searches took 22-24 s; the solutions count refuses them in
-    # about a millisecond
+    # both searches took 22-24 s; at 2n - k - 1 nodes per solution they
+    # pass the cap, and are refused in about a millisecond
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match=rf"total {total} with n={n} needs about"):
         count_constrained(ProblemSpec(k, n), total)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("k, n", [(3, 3), (3, 6), (4, 8), (5, 10), (12, 12), (3, 20), (7, 30)])
+def test_node_estimate_reads_the_solutions(k, n):
+    # 2n - k - 1 nodes per solution, the solutions of a total or a range
+    # counted by the full partition table over parts_multiset(k, n)
+    spec, top = ProblemSpec(k, n), 60
+    per_solution = 2 * n - k - 1
+    table = counting._restricted_table(parts_multiset(k, n), top)
+    for t in (0, 1, 7, 30, top):
+        assert counting._search_nodes(spec, t, t) == per_solution * table[t]
+    for t_min, t_max in ((0, 1), (0, top), (1, 30), (17, top), (29, 30)):
+        assert counting._search_nodes(spec, t_min, t_max) == per_solution * sum(table[t_min : t_max + 1])
+
+
+@pytest.mark.parametrize("k, n, total", [(3, 100, 10**6), (3, 40, 10**15), (3, 3, 10**21)])
+def test_node_estimate_refuses_large_totals_without_counting(monkeypatch, k, n, total):
+    # parts 1, 2 and 4 give total t at least t^2 / 16 solutions, so these
+    # pass the cap before count_restricted, or a partition table, is asked
+    def fail(*args):
+        raise AssertionError("a refused walk counted its solutions")
+
+    monkeypatch.setattr(counting, "count_restricted", fail)
+    monkeypatch.setattr(counting, "parts_multiset", fail)
+    nodes = (2 * n - k - 1) * (total * total // 16)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=rf"total {total} with n={n} needs about {nodes} search"):
+        count_constrained(ProblemSpec(k, n), total)
+    assert time.perf_counter() - start < 0.01
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_parts_one_two_four_give_a_sixteenth_of_the_square(total):
+    assert count_restricted((1, 2, 4), total) >= total * total // 16
 
 
 def test_node_estimate_tracks_nodes_visited(monkeypatch):
@@ -399,6 +437,24 @@ def test_restricted_no_parts_and_one_part():
     assert count_restricted((7,), 1_000_005) == 0
     assert count_restricted((), 10**100) == 0
     assert count_restricted((1,), 10**100) == 1
+
+
+def test_restricted_refuses_huge_totals_at_once():
+    # a plan for a b-bit total that keeps a part halves it about b times,
+    # shifting it through about b^2 / 128 cells, so 2^(10^6) is refused
+    # before planning; the refusal names the total and the sizes it would
+    # take by bits and limits, since they pass the int-to-str limit
+    cap, top = counting._MAX_TABLE_CELLS, counting._MAX_TABLE_TOTAL
+    total = 2 ** 10**6
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"a 1000001-bit total by halving fills at least {cap + 1} cells"):
+        count_restricted((1,), total)
+    assert time.perf_counter() - start < 0.1
+    assert count_restricted((), total) == 0
+    # cheap plans that hold a table of 2^20000 + 1 ints, or slice as many
+    for parts in ((2**20000 - 1,), (1, 2**20000 - 1)):
+        with pytest.raises(ResourceLimitError, match=f"or holds at least {top + 2} ints"):
+            count_restricted(parts, 2**20000)
 
 
 def test_restricted_pinned_against_the_full_table():

@@ -355,36 +355,38 @@ def _spy_overlapped(monkeypatch):
     "k, n, trials, slab_rows", [(3, 6, 50_000, None), (5, 50, 20_000, None), (4, 9, 2_000, 7)]
 )
 def test_handoff_does_not_change_hits(monkeypatch, mode, chunks, k, n, trials, slab_rows):
-    # every run here has more than one slab, so forcing the hand-off on
-    # sends each of its slabs' draws to the helper; slab_rows = 7 makes
+    # every run here has more than one slab, so with a second CPU each of
+    # its slabs' draws goes to the helper; slab_rows = 7 makes
     # about 100 to 300 slabs per block, and each block starts a generator
     if slab_rows is not None:
         monkeypatch.setattr(montecarlo, "_SLAB_FLOATS", slab_rows * n)
     runs = _spy_overlapped(monkeypatch)
     config = SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, seed=31, chunks=chunks)
-    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", float("inf"))
+    monkeypatch.setattr(montecarlo, "_CPUS", 1)
     serial = estimate(config)
     assert runs == []
-    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", 0)
+    monkeypatch.setattr(montecarlo, "_CPUS", 2)
     assert estimate(config) == serial
     assert len(runs) == 1
 
 
-@pytest.mark.parametrize("handoff", [0, float("inf")])
+# ids: the smallest slab handed off, 0 (every slab) or inf (none)
+@pytest.mark.parametrize("cpus", [2, 1], ids=["0", "inf"])
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("k, n", [(3, 5), (4, 10), (3, 13)])
-def test_packed_slabs_keep_each_blocks_hits(monkeypatch, handoff, mode, k, n):
+def test_packed_slabs_keep_each_blocks_hits(monkeypatch, cpus, mode, k, n):
     # slabs of 70 rows over blocks of 1 to 150 trials: slabs hold several
-    # blocks, and blocks straddle slabs, with the hand-off forced on and
-    # off; each block still draws its own stream, as when run alone
+    # blocks, and blocks straddle slabs, with the hand-off on (two CPUs)
+    # and off (one); each block still draws its own stream, as when run
+    # alone
     block_k = n if mode == "ngon" else k
     blocks = [(trials, _chunk_seed(41, b)) for b, trials in enumerate((150, 1, 69, 70, 3, 71, 40, 2))]
     alone = sum(_run_blocks(mode, block_k, n, [block]) for block in blocks)
     monkeypatch.setattr(montecarlo, "_SLAB_FLOATS", 70 * n)
-    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", handoff)
+    monkeypatch.setattr(montecarlo, "_CPUS", cpus)
     runs = _spy_overlapped(monkeypatch)
     assert _run_blocks(mode, block_k, n, blocks) == alone
-    assert len(runs) == (handoff == 0)
+    assert len(runs) == (cpus > 1)
 
 
 def _helpers():
@@ -392,7 +394,7 @@ def _helpers():
 
 
 def test_no_thread_outlives_estimate(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", 0)
+    monkeypatch.setattr(montecarlo, "_CPUS", 2)
     runs = _spy_overlapped(monkeypatch)
     before = _helpers()
     config = SimConfig(spec=ProblemSpec(5, 50), mode="none", trials=20_000, chunks=2)
@@ -436,7 +438,7 @@ def test_no_thread_outlives_estimate(monkeypatch):
 def test_concurrent_runs_keep_hits(monkeypatch):
     # four runs at once, each with its own helper: eight threads, more
     # than the cores, switching often; each run keeps its pinned hits
-    monkeypatch.setattr(montecarlo, "_HANDOFF_FLOATS", 0)
+    monkeypatch.setattr(montecarlo, "_CPUS", 2)
     monkeypatch.setattr(montecarlo, "_SLAB_FLOATS", 1 << 10)
     pins = [pin for pin in PINNED if pin[2] <= 12][:4]
     results = {}
@@ -467,7 +469,7 @@ _FIRST_IMPORT_CHILD = """
 import json, sys, threading
 from brokenstick import ProblemSpec, SimConfig, estimate, montecarlo
 assert "numpy" not in sys.modules
-montecarlo._HANDOFF_FLOATS = 0
+montecarlo._CPUS = 2
 montecarlo._SLAB_FLOATS = 1 << 10
 configs = [
     SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, seed=seed, chunks=chunks)
@@ -502,12 +504,12 @@ def test_concurrent_runs_keep_hits_on_first_numpy_import(monkeypatch):
     [(3, 3, 5_000, 8), (3, 3, 5_000, 1), (10, 10, 5_000, 1), (6, 8, 5_000, 8), (5, 7, 5_000, 8)],
 )
 def test_small_runs_start_no_thread(monkeypatch, k, n, trials, chunks):
-    # runs as small as these stay on the caller's thread: a single slab,
-    # or slabs under the hand-off size; the blocks of (5, 7) fill one
-    # slab of 35,000 floats, over the hand-off size
+    # runs as small as these fill a single slab, so they stay on the
+    # caller's thread even with a second CPU
     def fail(*args, **kwargs):
         raise AssertionError("a small run started a thread")
 
+    monkeypatch.setattr(montecarlo, "_CPUS", 2)
     monkeypatch.setattr(threading, "Thread", fail)
     for mode in MODES:
         estimate(SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, chunks=chunks))
