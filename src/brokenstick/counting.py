@@ -131,20 +131,19 @@ def _check_walk(spec: ProblemSpec, t_min: int, t_max: int) -> None:
         raise ResourceLimitError(
             f"exhaustive search over n={n} pieces recurses past depth {_MAX_DEPTH}"
         )
-    estimate = _search_nodes(spec, t_min, t_max)
-    if estimate > _NODE_CAP:
-        totals = f"total {t_max}" if t_min == t_max else f"totals {t_min}..{t_max}"
-        raise ResourceLimitError(
-            f"{totals} with n={n} needs about {estimate} search nodes (limit {_NODE_CAP})"
-        )
+    totals = "total {1}" if t_min == t_max else "totals {0}..{1}"
+    ResourceLimitError._check(
+        _search_nodes(spec, t_min, t_max), _NODE_CAP, "search nodes",
+        totals + " with n={2} needs about", t_min, t_max, n,
+    )
 
 
 def _constrained_counts(spec: ProblemSpec, t_min: int, t_max: int) -> list[int]:
     # Counts of the window system's nonnegative solutions at each total
-    # t_min..t_max, by one walk over the tree of prefixes; see _walk.
+    # t_min..t_max, by one walk over the tree of prefixes; see _walk.  Its
+    # callers price it by _check_walk first, once per walk.
     import numpy as np
 
-    _check_walk(spec, t_min, t_max)
     runs = np.zeros(t_max - t_min + 2, np.int64)
     # the empty prefix, under no window yet; at most this many are open at once
     windows = min(spec.k - 1, spec.n - spec.k + 1)
@@ -284,7 +283,9 @@ def count_constrained(
         shift = _least_positive_total(spec.k, spec.n)
     if n_value < shift:
         return 0
-    return _constrained_counts(spec, n_value - shift, n_value - shift)[0]
+    total = n_value - shift
+    _check_walk(spec, total, total)
+    return _constrained_counts(spec, total, total)[0]
 
 
 def _add_part(ways: list[int], p: int) -> None:
@@ -311,12 +312,10 @@ def _restricted_table(parts: Iterable[int], n_max: int) -> list[int]:
     parts = tuple(parts)
     if any(p < 1 for p in parts):
         raise ValueError(f"part sizes must be positive, got {min(parts)}")
+    table = "a partition table to total {}"
     cells = sum(n_max + 1 - p for p in parts if p <= n_max)
-    if cells > _MAX_TABLE_CELLS or n_max > _MAX_TABLE_TOTAL:
-        raise ResourceLimitError(
-            f"a partition table to total {n_max} fills {cells} cells"
-            f" (limits {_MAX_TABLE_CELLS} cells, total {_MAX_TABLE_TOTAL})"
-        )
+    ResourceLimitError._check(cells, _MAX_TABLE_CELLS, "cells", table + " fills", n_max)
+    ResourceLimitError._check(n_max + 1, _MAX_TABLE_TOTAL + 1, "ints", table + " holds", n_max)
     ways = [1] + [0] * n_max
     for p in parts:
         _add_part(ways, p)
@@ -342,7 +341,9 @@ def count_restricted(parts: Iterable[int], n_value: int) -> int:
     if any(p < 1 for p in parts):
         raise ValueError(f"part sizes must be positive, got {min(parts)}")
     # Q is kept as its exponents, one per factor 1 - q^c, and each stage
-    # as (total n, exponents, top, odd exponents).  A halving multiplies P
+    # as (exponents, top, odd exponents, parity of n), n being n_value
+    # halved once per stage before it; keeping every stage's n would hold
+    # b^2 / 2 bits for a b-bit total.  A halving multiplies P
     # by 1 + q^c for each odd c, to top entries, keeps those of n's parity
     # and halves n.  That leaves Q a series in q^2, since (1 - q^c)(1 + q^c)
     # is 1 - q^(2c) and an even c's 1 - q^c is one already, so each odd c
@@ -365,29 +366,24 @@ def count_restricted(parts: Iterable[int], n_value: int) -> int:
             plan = (len(stages), spent + table, max(held, n + 1) if factors else held)
         odd = [c for c in factors if c % 2]
         top = min(length + sum(odd), n + 1)
-        stages.append((n, factors, top, odd))
+        parity = n & 1  # & and >>, unlike % and //, need no division of a long n
+        stages.append((factors, top, odd, parity))
         spent += (1 + len(odd)) * (top + _SLICE_CELLS) + n.bit_length() // 64
-        held, length, n = max(held, top), (top - n % 2 + 1) // 2, n // 2
+        held, length, n = max(held, top), (top - parity + 1) // 2, n >> 1
         factors = [c for c in (c if c % 2 else c // 2 for c in factors) if c <= n]
     # a plan not priced before the limit stopped the search costs spent or more
     halvings, cells, held = plan[0], min(plan[1], spent), plan[2]
-    if cells > _MAX_TABLE_CELLS or held > _MAX_TABLE_TOTAL + 1:
-        # both are named up to one past their limit, since a count of a huge
-        # total's size may have too many digits to print
-        cells, held = min(cells, _MAX_TABLE_CELLS + 1), min(held, _MAX_TABLE_TOTAL + 2)
-        raise ResourceLimitError(
-            f"counting partitions of a {bits}-bit total by halving fills at least {cells} cells,"
-            f" or holds at least {held} ints"
-            f" (limits {_MAX_TABLE_CELLS} cells, {_MAX_TABLE_TOTAL + 1} ints)"
-        )
+    halving = "counting partitions of a {}-bit total by halving"
+    ResourceLimitError._check(cells, _MAX_TABLE_CELLS, "cells", halving + " fills at least", bits)
+    ResourceLimitError._check(held, _MAX_TABLE_TOTAL + 1, "ints", halving + " holds at least", bits)
     p = [1]
-    for n, _, top, odd in stages[:halvings]:
+    for _, top, odd, parity in stages[:halvings]:
         p += [0] * (top - len(p))
         for c in odd:
             # the slice assignment reads all of the map before it writes P
             p[c:] = map(add, p[c:], p)
-        p = p[n % 2 :: 2]
-    n, factors, _, _ = stages[halvings]
+        p = p[parity::2]
+    n, factors = n_value >> halvings, stages[halvings][0]
     p += [0] * (n + 1 - len(p)) if factors else []
     for c in factors:
         _add_part(p, c)
@@ -425,12 +421,11 @@ def hermite_coeff(n: int, n_value: int) -> int:
     if n_value < n:
         return 0
     side = min(n - 1, n_value - n)
+    count = "the composition count at n={}, total {} has"
+    # the bound is over side log2(e) bits, so a side past the limit is refused before float math
+    ResourceLimitError._check(side, _HERMITE_MAX_BITS, "bits", count + " over", n, n_value)
     bits = side * (log2(e) + log2(n_value - 1) - log2(side)) if side else 0
-    if bits > _HERMITE_MAX_BITS:
-        raise ResourceLimitError(
-            f"the composition count at n={n}, total {n_value} has up to {bits:.0f} bits"
-            f" (limit {_HERMITE_MAX_BITS})"
-        )
+    ResourceLimitError._check(bits, _HERMITE_MAX_BITS, "bits", count + " up to", n, n_value)
     return comb(n_value - 1, n - 1) - n * comb(n_value - n_value // 2 - 1, n - 1)
 
 

@@ -55,17 +55,16 @@ _TABLE_MAX_BITS = 4_000_000_000
 def _check_size(k: int, upto: int, chain: int = 0) -> None:
     # Refuses an order-k table through upto, plus `chain` values of up to
     # k^2 times its last sum, past the bounds in the module docstring.
+    probability.ResourceLimitError._check(
+        upto + 1, _TABLE_MAX_ENTRIES, "entries per list",
+        "an order-{} table through index {} holds", k, upto,
+    )
     nonzero = max(0, upto - k + 2)
     bits = nonzero * (nonzero + 1) + chain * (nonzero + 2 * k.bit_length() + 1)
-    if upto + 1 > _TABLE_MAX_ENTRIES or bits > _TABLE_MAX_BITS:
-        # probability imports this module, so its error is imported here
-        from .probability import ResourceLimitError
-
-        raise ResourceLimitError(
-            f"an order-{k} table through index {upto} holds {upto + 1} entries per list"
-            f" and up to {bits} bits, {chain} chain values included"
-            f" (limits {_TABLE_MAX_ENTRIES} entries, {_TABLE_MAX_BITS} bits)"
-        )
+    probability.ResourceLimitError._check(
+        bits, _TABLE_MAX_BITS, "bits",
+        "an order-{} table through index {} with {} chain values holds up to", k, upto, chain,
+    )
 
 
 def fib_table(k: int, upto: int) -> tuple[list[int], list[int]]:
@@ -127,3 +126,8 @@ def parts_multiset(k: int, n: int) -> tuple[int, ...]:
     g = list(accumulate((sums[n - j] for j in range(2, k - 1)), initial=1))
     chain = accumulate((g[k - 1 - l] for l in range(2, k - 1)), initial=sums[n])
     return tuple(sums[k - 2 :] + list(chain)[1:])
+
+
+# Last, since probability imports this module: in whichever order the two
+# start, the other's names are looked up only when a check runs.
+from . import probability  # noqa: E402

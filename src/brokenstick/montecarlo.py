@@ -145,12 +145,10 @@ class SimConfig:
         n = self.spec.n
         if n > _MAX_N:
             raise ResourceLimitError(f"n={n} pieces are past the limit {_MAX_N}")
-        work = _work(self)
-        if work > _MAX_WORK:
-            raise ResourceLimitError(
-                f"{self.trials} trials of {n} pieces in {self.chunks} chunks cost"
-                f" {work} trial-pieces (limit {_MAX_WORK})"
-            )
+        ResourceLimitError._check(
+            _work(self), _MAX_WORK, "trial-pieces",
+            "{} trials of {} pieces in {} chunks cost", self.trials, n, self.chunks,
+        )
 
 
 def _work(config: SimConfig) -> int:

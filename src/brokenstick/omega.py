@@ -381,21 +381,20 @@ def run_elimination(spec, trace=False):
     engine itself is broken and surfaces as ``ShapeError``.  Raises
     ``ResourceLimitError`` past the cost bounds in the module docstring.
     """
-    steps_needed, trace_bytes = _omega_cost(spec.k, spec.n, trace)
-    if steps_needed > _OMEGA_MAX_STEPS:
-        raise ResourceLimitError(
-            f"elimination at k={spec.k}, n={spec.n} takes about {steps_needed} steps"
-            f" (limit {_OMEGA_MAX_STEPS})"
-        )
-    if trace and trace_bytes > _OMEGA_MAX_TRACE_BYTES:
-        raise ResourceLimitError(
-            f"the elimination trace at k={spec.k}, n={spec.n} keeps about {trace_bytes}"
-            f" bytes (limit {_OMEGA_MAX_TRACE_BYTES})"
+    k, n = spec.k, spec.n
+    steps_needed, trace_bytes = _omega_cost(k, n, trace)
+    ResourceLimitError._check(
+        steps_needed, _OMEGA_MAX_STEPS, "steps", "elimination at k={}, n={} takes about", k, n
+    )
+    if trace:
+        ResourceLimitError._check(
+            trace_bytes, _OMEGA_MAX_TRACE_BYTES, "bytes",
+            "the elimination trace at k={}, n={} keeps about", k, n,
         )
     factors = list(build_crude(spec))
     steps: list[EliminationStep] = []
     for var in elimination_order(spec):
-        consumed = tuple(_carriers(var, spec.k))
+        consumed = tuple(_carriers(var, k))
         produced = _eliminate(factors, var, consumed, trace)
         if trace:
             steps.append(EliminationStep(var, consumed, produced))

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, gcd, log2, prod
 from typing import Iterator, Sequence
 
 from .genfib import parts_multiset
@@ -80,7 +80,22 @@ class ResourceLimitError(RuntimeError):
 
     Each guard lives in the function whose work it bounds and raises
     before that work starts, so it holds on every route to the function.
+    Every guard over a computed cost raises through ``_check``, whose
+    message names that cost and its limit.
     """
+
+    @classmethod
+    def _check(cls, cost: int | float, limit: int, unit: str, what: str, *args: object) -> None:
+        # Past the limit raises "{what} {cost} {unit} (limit {limit})", the {}
+        # of what filled from args.  Ints print exactly below 2^64 and by
+        # their power of two beyond, so str()'s 4300-digit limit is never met.
+        if cost > limit:
+            def show(x: object) -> str:
+                if isinstance(x, int) and abs(x) >> 64:
+                    return f"{'-' * (x < 0)}2^{log2(abs(x)):.1f}"
+                return f"{x:.0f}" if isinstance(x, float) else str(x)
+
+            raise cls(f"{what.format(*map(show, args))} {show(cost)} {unit} (limit {limit})")
 
 
 @dataclass(frozen=True)
@@ -139,12 +154,10 @@ def _none_terms(spec: ProblemSpec) -> tuple[int, tuple[int, ...]]:
     # left of n!.  For each prime one side of that pair then holds none
     # of it, and the numerator only shrinks, so every reduced part is
     # coprime to the final numerator and so is their product.
-    bits = _none_denominator_bits(spec.k, spec.n)
-    if bits > _PROB_NONE_MAX_BITS:
-        raise ResourceLimitError(
-            f"the no-polygon probability at k={spec.k}, n={spec.n} has a denominator"
-            f" of up to {bits} bits (limit {_PROB_NONE_MAX_BITS})"
-        )
+    ResourceLimitError._check(
+        _none_denominator_bits(spec.k, spec.n), _PROB_NONE_MAX_BITS, "bits",
+        "the no-polygon probability at k={}, n={} has a denominator of up to", spec.k, spec.n,
+    )
     num = factorial(spec.n)
     parts = []
     for part in parts_multiset(spec.k, spec.n):
@@ -197,12 +210,10 @@ def prob_forall(spec: ProblemSpec) -> Fraction:
     """
     k, n = spec.k, spec.n
     m = n - k + 2
-    steps = _forall_steps(k, m)
-    if steps > _PROB_FORALL_MAX_STEPS:
-        raise ResourceLimitError(
-            f"the all-polygon probability at k={k}, n={n} costs about {steps} steps"
-            f" (limit {_PROB_FORALL_MAX_STEPS})"
-        )
+    ResourceLimitError._check(
+        _forall_steps(k, m), _PROB_FORALL_MAX_STEPS, "steps",
+        "the all-polygon probability at k={}, n={} costs about", k, n,
+    )
 
     def terms() -> Iterator[tuple[int, int]]:
         binom = 1  # C(m-1, j-1), and C(m-1, j) = C(m-1, j-1) (m - j) / j

@@ -38,15 +38,6 @@ __all__ = [
 _HERMITE_MAX_STEPS = 160_000_000
 
 
-def _check_total(suite: str, max_total: int, cost: int, limit: int, unit: str) -> None:
-    if max_total < 0:
-        raise ValueError(f"truncation order must be nonnegative, got {max_total}")
-    if cost > limit:
-        raise ResourceLimitError(
-            f"the {suite} suite to total {max_total} costs about {cost} {unit} (limit {limit})"
-        )
-
-
 @dataclass(frozen=True)
 class Check:
     """One named pass/fail observation with a human-readable detail."""
@@ -198,8 +189,12 @@ def suite_hermite(
     least = max(n_values[:2], default=0)
     if ratio_total < least:
         raise ValueError(f"ratio total must be at least {least}, got {ratio_total}")
-    steps = sum(n_values) * max_total**3 // 8
-    _check_total("hermite", max_total, steps, _HERMITE_MAX_STEPS, "DP steps")
+    if max_total < 0:
+        raise ValueError(f"truncation order must be nonnegative, got {max_total}")
+    ResourceLimitError._check(
+        sum(n_values) * max_total**3 // 8, _HERMITE_MAX_STEPS, "DP steps",
+        "the hermite suite to total {} costs about", max_total,
+    )
     checks = []
     for n in n_values:
         bad = None
@@ -253,12 +248,10 @@ def suite_montecarlo(
         SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, seed=seed, chunks=chunks)
         for mode, k, n in cases
     ]
-    work = sum(_work(config) for config in configs)
-    if work > _MAX_WORK:
-        raise ResourceLimitError(
-            f"the montecarlo suite at {trials} trials per case costs {work}"
-            f" trial-pieces (limit {_MAX_WORK})"
-        )
+    ResourceLimitError._check(
+        sum(_work(config) for config in configs), _MAX_WORK, "trial-pieces",
+        "the montecarlo suite at {} trials per case costs", trials,
+    )
     checks = []
     for (mode, k, n), config in zip(cases, configs):
         spec = config.spec

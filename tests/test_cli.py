@@ -47,7 +47,6 @@ from brokenstick.counting import (
     _HERMITE_MAX_BITS,
     _MAX_DEPTH,
     _MAX_TABLE_CELLS,
-    _MAX_TABLE_TOTAL,
     _NODE_CAP,
 )
 from brokenstick.genfib import _TABLE_MAX_BITS, _TABLE_MAX_ENTRIES
@@ -518,7 +517,7 @@ def test_count_refuses_table_past_bound_before_allocating(capsys):
             code, out, err = run_cli(capsys, "count", *argv, "--oracle", oracle)
             assert (code, out) == (3, ""), oracle
             assert "counting partitions of a 40-bit total by halving fills at least" in err
-            assert f"(limits {_MAX_TABLE_CELLS} cells, {_MAX_TABLE_TOTAL + 1} ints)" in err
+            assert f"cells (limit {_MAX_TABLE_CELLS})" in err
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -546,13 +545,16 @@ def test_count_brute_refuses_depth_before_estimating(capsys, monkeypatch):
 
 def test_count_parts_refuses_tables_past_bound_before_allocating(capsys):
     # (k, n): too many entries, too many table bits, too many chain bits
+    entries = f"entries per list (limit {_TABLE_MAX_ENTRIES})"
+    bits = f"bits (limit {_TABLE_MAX_BITS})"
     tracemalloc.start()
     try:
-        for k, n in ((3, _TABLE_MAX_ENTRIES), (3, 63246), (970000, 10**6)):
+        for k, n, refusal in ((3, _TABLE_MAX_ENTRIES, entries), (3, 63246, bits),
+                              (970000, 10**6, bits)):
             argv = ("--k", str(k), "--n", str(n), "--N-value", "5", "--oracle", "parts")
             code, out, err = run_cli(capsys, "count", *argv)
             assert (code, out) == (3, ""), (k, n)
-            assert f"limits {_TABLE_MAX_ENTRIES} entries, {_TABLE_MAX_BITS} bits" in err
+            assert refusal in err
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -590,6 +592,43 @@ def test_hermite_refuses_bits_past_bound(capsys, monkeypatch):
     assert run_json(capsys, "hermite", "--n", "479282", "--N-value", "1000000")["result"] == {
         "count": "0"
     }
+
+
+def test_hermite_refuses_a_huge_side_before_float_math(capsys):
+    # the side min(n - 1, N - n) alone passes the bit bound; multiplied by
+    # a float it would raise OverflowError
+    code, out, err = run_cli(capsys, "hermite", "--n", str(10**400), "--N-value", str(2 * 10**400))
+    assert (code, out) == (3, "")
+    assert err.endswith(f"has over 2^1328.8 bits (limit {_HERMITE_MAX_BITS})\n")
+
+
+# 3000 digits; simulate takes 4299, since its trials times n must pass 4300
+_HUGE = str(10**2999)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prob", "none", "--k", "3", "--n", _HUGE),
+        ("prob", "forall", "--k", "3", "--n", _HUGE),
+        ("omega", "--k", "3", "--n", _HUGE),
+        ("count", "--k", "3", "--n", _HUGE, "--N-value", "5", "--oracle", "parts"),
+        ("count", "--k", "3", "--n", _HUGE, "--N-value", "5", "--oracle", "series"),
+        ("count", "--k", "3", "--n", "3", "--N-value", _HUGE, "--oracle", "brute"),
+        ("verify", "--suite", "lemma1", "--max-total", _HUGE),
+        ("verify", "--suite", "hermite", "--max-total", _HUGE),
+        ("simulate", "--mode", "none", "--k", "3", "--n", "100", "--trials", str(10**4298)),
+    ],
+    ids=["prob-none", "prob-forall", "omega", "count-parts", "count-series", "count-brute",
+         "verify-lemma1", "verify-hermite", "simulate"],
+)
+def test_refusals_of_huge_costs_print_the_guard_message(capsys, argv):
+    # each cost has over 4300 digits, where str() raises; the guard names
+    # it by its power of two
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "(limit " in err and "Exceeds the limit" not in err
+    assert "2^" in err
 
 
 def test_verify_suites_refuse_totals_past_bound(capsys, monkeypatch):

@@ -8,6 +8,7 @@ import json
 import time
 import tracemalloc
 from fractions import Fraction
+from math import log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from brokenstick import (
     parts_multiset,
     run_elimination,
 )
-from brokenstick import cli, counting
+from brokenstick import cli, counting, verification
 from brokenstick.counting import series_coefficients
 from brokenstick.omega import ClosedProduct
 from brokenstick.verification import _composition_count
@@ -101,7 +102,7 @@ def test_constrained_resource_guard():
     nodes = 2 * sum(counting._restricted_table((1, 2, 4), 800))
     assert nodes == 21654802
     with pytest.raises(ResourceLimitError, match=rf"totals 0\.\.800 with n=3 needs about {nodes} "):
-        counting._constrained_counts(ProblemSpec(3, 3), 0, 800)
+        counting._check_walk(ProblemSpec(3, 3), 0, 800)
     assert count_constrained(ProblemSpec(3, 3), 800) > 0
 
 
@@ -157,8 +158,10 @@ def test_node_estimate_refuses_large_totals_without_counting(monkeypatch, k, n, 
     monkeypatch.setattr(counting, "count_restricted", fail)
     monkeypatch.setattr(counting, "parts_multiset", fail)
     nodes = (2 * n - k - 1) * (total * total // 16)
+    # an int past 2^64 is named by its power of two
+    shown = [x if x < 2**64 else f"2\\^{log2(x):.1f}" for x in (total, nodes)]
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match=rf"total {total} with n={n} needs about {nodes} search"):
+    with pytest.raises(ResourceLimitError, match=rf"total {shown[0]} with n={n} needs about {shown[1]} search"):
         count_constrained(ProblemSpec(k, n), total)
     assert time.perf_counter() - start < 0.01
 
@@ -302,18 +305,18 @@ def test_partition_table_refuses_past_bounds_before_allocating():
     # fill top cells each, and a part of size top + 1 - r fills r more
     q, r = divmod(cells + 1, top)
     past_cells = (1,) * q + ((top + 1 - r,) if r else ())
-    ints = f"limits {cells} cells, {top + 1} ints"
+    past = {"cells": f"cells \\(limit {cells}\\)", "ints": f"ints \\(limit {top + 1}\\)"}
     tracemalloc.start()
     try:
-        for parts, total in ((past_cells, top), ((top + 1,), top + 1)):
-            with pytest.raises(ResourceLimitError, match=f"limits {cells} cells, total {top}"):
+        for parts, total, refusal in ((past_cells, top, "cells"), ((top + 1,), top + 1, "ints")):
+            with pytest.raises(ResourceLimitError, match=f"to total {total} .*{past[refusal]}"):
                 counting._restricted_table(parts, total)
         # every plan for (3, 30) at 10^12 passes the cell bound: the parts
         # sum to 5.7 * 10^6, so each halving's slices span millions of ints
-        with pytest.raises(ResourceLimitError, match=ints):
+        with pytest.raises(ResourceLimitError, match="halving fills at least .* " + past["cells"]):
             count_restricted(parts_multiset(3, 30), 10**12)
         # one cell, but a table of top + 2 ints
-        with pytest.raises(ResourceLimitError, match=ints):
+        with pytest.raises(ResourceLimitError, match="halving holds at least .* " + past["ints"]):
             count_restricted((top + 1,), top + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -442,19 +445,72 @@ def test_restricted_no_parts_and_one_part():
 def test_restricted_refuses_huge_totals_at_once():
     # a plan for a b-bit total that keeps a part halves it about b times,
     # shifting it through about b^2 / 128 cells, so 2^(10^6) is refused
-    # before planning; the refusal names the total and the sizes it would
-    # take by bits and limits, since they pass the int-to-str limit
+    # before planning; the refusal names the total by its bits, and a size
+    # past 2^64 by its power of two, since str() stops at 4300 digits
     cap, top = counting._MAX_TABLE_CELLS, counting._MAX_TABLE_TOTAL
     total = 2 ** 10**6
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match=f"a 1000001-bit total by halving fills at least {cap + 1} cells"):
+    cells = 1000001**2 // 128
+    with pytest.raises(ResourceLimitError, match=f"a 1000001-bit total by halving fills at least {cells} cells"):
         count_restricted((1,), total)
     assert time.perf_counter() - start < 0.1
     assert count_restricted((), total) == 0
     # cheap plans that hold a table of 2^20000 + 1 ints, or slice as many
-    for parts in ((2**20000 - 1,), (1, 2**20000 - 1)):
-        with pytest.raises(ResourceLimitError, match=f"or holds at least {top + 2} ints"):
+    for parts, refusal in (((2**20000 - 1,), rf"holds at least 2\^20000\.0 ints \(limit {top + 1}\)"),
+                           ((1, 2**20000 - 1), rf"fills at least 2\^20000\.0 cells \(limit {cap}\)")):
+        with pytest.raises(ResourceLimitError, match=refusal):
             count_restricted(parts, 2**20000)
+
+
+def test_restricted_holds_one_running_total_while_halving():
+    # (1,) at a 50000-bit total halves it 49973 times; keeping every
+    # stage's total held b^2 / 16 bytes, a 173 MiB traced peak, where the
+    # stages alone hold about 13 MiB
+    tracemalloc.start()
+    try:
+        assert count_restricted((1,), 2**50000 - 1) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        (lambda t: count_constrained(ProblemSpec(3, 3), t),
+         "total 2^16609.6 with n=3 needs about 2^33216.3 search nodes (limit 4000000)"),
+        (lambda t: counting._restricted_table((1, 2), t),
+         "a partition table to total 2^16609.6 fills 2^16610.6 cells (limit 100000000)"),
+        (lambda t: count_restricted((t - 1,), t),
+         "counting partitions of a 16610-bit total by halving holds at least 2^16609.6 ints"
+         " (limit 10000001)"),
+        (lambda t: hermite_coeff(t, 2 * t),
+         "the composition count at n=2^16609.6, total 2^16610.6 has over 2^16609.6 bits"
+         " (limit 1200000)"),
+    ],
+    ids=["walk", "table", "halving", "hermite"],
+)
+def test_guards_name_huge_totals_by_their_power_of_two(call, refusal):
+    # 10^5000 has more digits than str() prints
+    with pytest.raises(ResourceLimitError) as info:
+        call(10**5000)
+    assert str(info.value) == refusal
+
+
+def test_lemma1_prices_each_grid_point_once(monkeypatch):
+    # the suite refuses before any walk, and the walks it then runs are
+    # not priced again
+    calls = []
+    search_nodes = counting._search_nodes
+    monkeypatch.setattr(counting, "_search_nodes", lambda *args: calls.append(args) or search_nodes(*args))
+    checks = verification.suite_lemma1(max_total=10)
+    assert all(check.ok for check in checks)
+    assert len(calls) == len(checks) == 12
+    # count_constrained prices its one walk
+    calls.clear()
+    assert count_constrained(ProblemSpec(3, 3), 10) == counting._restricted_table((1, 2, 4), 10)[10]
+    assert len(calls) == 1
 
 
 def test_restricted_pinned_against_the_full_table():

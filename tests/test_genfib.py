@@ -84,18 +84,22 @@ def test_fib_table_memory_follows_upto_not_k():
 
 
 @pytest.mark.parametrize(
-    "call, args",
+    "call, args, refusal",
     [
-        (fib_table, (10**7, genfib._TABLE_MAX_ENTRIES)),  # entries, all of them 0
-        (fib_table, (2, 63246)),  # 63246 * 63247 bits of Fibonacci numbers
-        (parts_multiset, (970000, 10**6)),  # 2 * 969997 chain values of ~30000 bits
+        # entries, all of them 0
+        (fib_table, (10**7, genfib._TABLE_MAX_ENTRIES),
+         f"entries per list \\(limit {genfib._TABLE_MAX_ENTRIES}\\)"),
+        # 63246 * 63247 bits of Fibonacci numbers
+        (fib_table, (2, 63246), f"bits \\(limit {genfib._TABLE_MAX_BITS}\\)"),
+        # 2 * 969997 chain values of ~30000 bits
+        (parts_multiset, (970000, 10**6), f"bits \\(limit {genfib._TABLE_MAX_BITS}\\)"),
     ],
     ids=["entries", "table-bits", "parts-chain-bits"],
 )
-def test_tables_refuse_past_bounds_before_allocating(call, args):
+def test_tables_refuse_past_bounds_before_allocating(call, args, refusal):
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match=f"{genfib._TABLE_MAX_BITS} bits"):
+        with pytest.raises(ResourceLimitError, match=refusal):
             call(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

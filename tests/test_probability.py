@@ -28,6 +28,25 @@ def test_spec_validation():
     ProblemSpec(3, 3)  # boundary is fine
 
 
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (2**64 - 1, "18446744073709551615"),
+        (2**64, "2^64.0"),
+        (-3 * 2**70, "-2^71.6"),
+        (1200000.5, "1200000"),
+    ],
+    ids=["below-2^64", "2^64", "negative", "float"],
+)
+def test_resource_check_names_huge_ints_by_their_power_of_two(value, shown):
+    # ints print exactly below 2^64, so no message meets str()'s 4300-digit limit
+    check = ResourceLimitError._check
+    check(10**5000, 10**5000, "steps", "at {}", value)  # at the limit, served
+    with pytest.raises(ResourceLimitError) as info:
+        check(10**5000, 1, "steps", "at {} it takes", value)
+    assert str(info.value) == f"at {shown} it takes 2^16609.6 steps (limit 1)"
+
+
 def test_prob_none_refuses_past_bound_before_building_parts(monkeypatch):
     def fail(k, n):
         raise AssertionError("a refused request built the parts")
