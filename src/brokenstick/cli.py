@@ -16,12 +16,18 @@ reader, and rationals are rendered as "numerator/denominator".
 
 Exit codes: 0 success, 2 usage error (a verify flag its suite does not
 take is one), 3 domain or resource error, 4 verification suite failure.
+
+A start imports only the modules its subcommand runs.  This module
+imports the package's ``genfib`` and ``probability``, which also hold
+the parser's choices and defaults, and each ``_cmd_*`` handler imports
+the rest of what it calls (``omega``, ``counting``, ``montecarlo``,
+``verification``, and through them numpy) when it runs.  So ``prob``
+and ``fib`` load no other module.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -32,12 +38,17 @@ from itertools import accumulate
 from typing import Sequence
 
 from . import ResourceLimitError, __version__
-from .counting import count_constrained, count_restricted, hermite_coeff
 from .genfib import fib_table, parts_multiset
-from .montecarlo import DEFAULT_CHUNKS, DEFAULT_SEED, MODES, SimConfig, estimate
-from .omega import run_elimination
-from .probability import ProblemSpec, _none_terms, _product, prob_forall, prob_ngon
-from .verification import SUITES, run_suite
+from .probability import (
+    DEFAULT_CHUNKS,
+    DEFAULT_SEED,
+    MODES,
+    ProblemSpec,
+    _none_terms,
+    _product,
+    prob_forall,
+    prob_ngon,
+)
 
 __all__ = ["build_parser", "main"]
 
@@ -57,7 +68,9 @@ _FIB_MAX_UPTO = 24_000
 # request stays near 10 s.
 _DECIMAL_MAX_DIGITS = 1_000_000
 
-# verify flags that each suite accepts, as CLI attr -> suite kwarg.
+# verify flags that each suite accepts, as CLI attr -> suite kwarg; its
+# keys, which name every suite of verification.SUITES, are the --suite
+# choices.
 _SUITE_FLAGS: dict[str, dict[str, str]] = {
     "lemma1": {"max_total": "max_total"},
     "prop2": {},
@@ -172,6 +185,8 @@ def _emit(record: dict, fmt: str) -> None:
     flat: dict = {}
     _flatten(record, "", flat)
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(flat.keys())
@@ -226,6 +241,8 @@ def _cmd_fib(k, upto) -> dict:
 
 
 def _cmd_omega(k, n, trace) -> dict:
+    from .omega import run_elimination
+
     spec = ProblemSpec(k, n)
     if trace:
         product, steps = run_elimination(spec, trace=True)
@@ -250,27 +267,40 @@ def _cmd_omega(k, n, trace) -> dict:
 
 
 def _cmd_count(k, n, n_value, oracle, positivity) -> dict:
+    from .counting import count_constrained, count_restricted
+
     spec = ProblemSpec(k, n)
     if oracle == "brute":
         return {"count": count_constrained(spec, n_value, positivity)}
     if n_value < 0:
         raise ValueError(f"total must be nonnegative, got {n_value}")
-    parts = parts_multiset(k, n) if oracle == "parts" else run_elimination(spec).exponents
+    if oracle == "parts":
+        parts = parts_multiset(k, n)
+    else:
+        from .omega import run_elimination
+
+        parts = run_elimination(spec).exponents
     # a positive count is the nonnegative count at the total less piece n's part
     shift = parts[-1] if positivity == "positive" else 0
     return {"count": count_restricted(parts, n_value - shift) if n_value >= shift else 0}
 
 
 def _cmd_hermite(n, n_value) -> dict:
+    from .counting import hermite_coeff
+
     return {"count": hermite_coeff(n, n_value)}
 
 
 def _cmd_simulate(mode, k, n, trials, seed, chunks) -> dict:
+    from .montecarlo import SimConfig, estimate
+
     config = SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, seed=seed, chunks=chunks)
     return asdict(estimate(config))
 
 
 def _cmd_verify(suite, **kwargs) -> tuple[dict, int]:
+    from .verification import run_suite
+
     checks = run_suite(suite, **kwargs)
     passed = all(c.ok for c in checks)
     result = {
@@ -342,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", parents=[common], help="run a cross-validation suite")
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
+    p.add_argument("--suite", choices=sorted(_SUITE_FLAGS), required=True)
     p.add_argument("--max-total", dest="max_total", type=int,
                    help="largest total checked (lemma1, hermite)")
     p.add_argument("--ratio-n", dest="ratio_n", type=int,

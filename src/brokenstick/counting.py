@@ -36,11 +36,13 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, e, factorial, log2, prod
 from operator import add
-from typing import Iterable, Literal
+from typing import TYPE_CHECKING, Iterable, Literal
 
 from .genfib import parts_multiset
-from .omega import ClosedProduct
 from .probability import ProblemSpec, ResourceLimitError
+
+if TYPE_CHECKING:  # series_coefficients' annotation; no route here runs omega
+    from .omega import ClosedProduct
 
 __all__ = [
     "count_constrained",
@@ -127,10 +129,7 @@ def _search_nodes(spec: ProblemSpec, t_min: int, t_max: int) -> int:
 def _check_walk(spec: ProblemSpec, t_min: int, t_max: int) -> None:
     # Refuses a walk over totals t_min..t_max past _MAX_DEPTH or _NODE_CAP.
     n = spec.n
-    if n > _MAX_DEPTH:
-        raise ResourceLimitError(
-            f"exhaustive search over n={n} pieces recurses past depth {_MAX_DEPTH}"
-        )
+    ResourceLimitError._check(n, _MAX_DEPTH, "slots deep", "exhaustive search recurses")
     totals = "total {1}" if t_min == t_max else "totals {0}..{1}"
     ResourceLimitError._check(
         _search_nodes(spec, t_min, t_max), _NODE_CAP, "search nodes",

@@ -54,9 +54,11 @@ non-empty.  A config past 1.5 * 10^8 (about 2 s) or with n > 2^22
 raises ``ResourceLimitError`` when it is built, before any draw.
 
 numpy is imported inside each function that calls it, never at module
-level: the CLI imports this module on every start for its modes and
-defaults, and a request that draws nothing should not pay numpy's
-import, which is most of an exact request's start-up time.
+level.  The CLI imports this module only for ``simulate`` and, through
+``verification``, for ``verify``, whose suites that draw nothing should
+not pay numpy's import, most of their start-up time.  The modes and
+defaults live in ``probability``, so building the CLI's parser does not
+import this module.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import sqrt
 
-from .probability import ProblemSpec, ResourceLimitError
+from .probability import DEFAULT_CHUNKS, DEFAULT_SEED, MODES, ProblemSpec, ResourceLimitError
 
 __all__ = [
     "DEFAULT_SEED",
@@ -78,13 +80,6 @@ __all__ = [
     "SimResult",
     "estimate",
 ]
-
-# Arbitrary fixed default; the acceptance checks pin their expectations
-# to runs with exactly this seed.
-DEFAULT_SEED = 2654435769
-DEFAULT_CHUNKS = 8
-
-MODES = ("none", "exists", "forall", "ngon")
 
 # Floats per slab buffer (1 MiB of float64, sized to stay in a core's
 # cache) and the largest n served; see the module docstring.
@@ -143,8 +138,7 @@ class SimConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         n = self.spec.n
-        if n > _MAX_N:
-            raise ResourceLimitError(f"n={n} pieces are past the limit {_MAX_N}")
+        ResourceLimitError._check(n, _MAX_N, "pieces", "a simulated stick breaks into")
         ResourceLimitError._check(
             _work(self), _MAX_WORK, "trial-pieces",
             "{} trials of {} pieces in {} chunks cost", self.trials, n, self.chunks,

@@ -69,6 +69,16 @@ __all__ = [
     "prob_ngon",
 ]
 
+# The events by the names the CLI and the simulation give them; "ngon"
+# is forall at k = n.  With the simulation's defaults they live here, so
+# the CLI's parser shows them without importing montecarlo, which
+# exports all three, as the package does DEFAULT_SEED and DEFAULT_CHUNKS.
+MODES = ("none", "exists", "forall", "ngon")
+# Arbitrary fixed default; the acceptance checks pin their expectations
+# to runs with exactly this seed.
+DEFAULT_SEED = 2654435769
+DEFAULT_CHUNKS = 8
+
 # See the cost models in the module docstring.
 _PROB_NONE_MAX_BITS = 8_000_000
 _PROB_FORALL_MAX_STEPS = 25_000_000_000_000
@@ -233,8 +243,7 @@ def prob_ngon(n: int) -> Fraction:
     """
     if n < 3:
         raise ValueError(f"polygon size must be at least 3, got n={n}")
-    if n > _PROB_NGON_MAX_N:
-        raise ResourceLimitError(
-            f"prob_ngon at n={n} needs 2^(n-1), an int of {n} bits (limit n <= {_PROB_NGON_MAX_N})"
-        )
+    ResourceLimitError._check(
+        n, _PROB_NGON_MAX_N, "bits", "prob_ngon at n={} needs 2^(n-1), an int of", n,
+    )
     return 1 - Fraction(n, 2 ** (n - 1))

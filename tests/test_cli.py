@@ -461,7 +461,7 @@ def test_prob_ngon_refuses_n_past_bound(capsys):
     code, out, err = run_cli(capsys, "prob", "ngon", "--n", str(_PROB_NGON_MAX_N + 1))
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
-    assert f"limit n <= {_PROB_NGON_MAX_N}" in err
+    assert f"bits (limit {_PROB_NGON_MAX_N})" in err
 
 
 def test_fib_refuses_upto_past_bound(capsys):
@@ -537,7 +537,7 @@ def test_count_brute_refuses_depth_before_estimating(capsys, monkeypatch):
         argv = ("--k", "3", "--n", str(n), "--N-value", "0", "--oracle", "brute")
         code, out, err = run_cli(capsys, "count", *argv, "--positivity", positivity)
         assert (code, out) == (3, ""), (n, positivity)
-        assert f"depth {_MAX_DEPTH}" in err
+        assert f"slots deep (limit {_MAX_DEPTH})" in err
     monkeypatch.undo()
     argv = ("--k", "3", "--n", str(_MAX_DEPTH), "--N-value", "10", "--oracle", "brute")
     assert run_json(capsys, "count", *argv)["result"] == {"count": "14"}
@@ -869,37 +869,52 @@ EXACT_ROUTES = [
     ["verify", "--suite", "asymptotic"],
 ]
 
-# Runs each request of argv[1], a JSON list, in one interpreter and prints
-# each one's exit code, result and whether numpy was loaded after it.
+# Answers the request argv[1], a JSON list, in a fresh interpreter and
+# prints its exit code, its result and the modules loaded after it:
+# numpy and the package's submodules.
 _CHILD = """
 import contextlib, io, json, sys
-import brokenstick
 from brokenstick import cli
-answers = []
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    answers.append([code, json.loads(out.getvalue())["result"], "numpy" in sys.modules])
-print(json.dumps(answers))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(json.loads(sys.argv[1]))
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("brokenstick."))
+print(json.dumps([code, json.loads(out.getvalue())["result"], loaded]))
 """
 
 
 def test_exact_requests_leave_numpy_unloaded(monkeypatch):
-    # importing numpy is most of an exact request's start-up time (and
-    # numpy.random, loaded on first use, lives inside it); only the
-    # brute walk and the simulation load it, and they still answer right
+    # each start loads only the modules its route runs.  Importing numpy
+    # is most of an exact request's start-up time (and numpy.random,
+    # loaded on first use, lives inside it); only the brute walk and the
+    # simulation load it, and they still answer right
     brute = ["count", "--k", "3", "--n", "6", "--N-value", "28", "--oracle", "brute"]
     simulate = ["simulate", "--mode", "none", "--k", "3", "--n", "5", "--trials", "20000", "--seed", "2"]
-    requests = EXACT_ROUTES + [brute, simulate]
-    proc = run_module(monkeypatch, "-c", _CHILD, json.dumps(requests))
-    assert proc.returncode == 0, proc.stderr
-    codes, results, loaded = zip(*json.loads(proc.stdout))
-    assert codes == (0,) * len(requests)  # a verify suite that fails exits 4
-    assert loaded == (False,) * len(EXACT_ROUTES) + (True, True)
-    parts = results[EXACT_ROUTES.index(brute[:-1] + ["parts"])]
-    assert results[-2] == parts == {"count": "177"}
-    assert results[-1]["hits"] == "3526"  # pinned in tests/test_montecarlo.py
+    results, loaded = {}, {}
+    for argv in EXACT_ROUTES + [brute, simulate]:
+        proc = run_module(monkeypatch, "-c", _CHILD, json.dumps(argv))
+        assert proc.returncode == 0, proc.stderr
+        code, results[tuple(argv)], modules = json.loads(proc.stdout)
+        assert code == 0, argv  # a verify suite that fails exits 4
+        loaded[tuple(argv)] = {m.removeprefix("brokenstick.") for m in modules}
+    for argv, modules in loaded.items():
+        command = argv[0]
+        assert ("numpy" in modules) == (list(argv) in (brute, simulate)), argv
+        assert ("montecarlo" in modules) == (command in ("simulate", "verify")), argv
+        assert ("verification" in modules) == (command == "verify"), argv
+        if command in ("prob", "fib"):
+            assert modules == {"cli", "genfib", "probability"}, argv
+        if command == "hermite" or "parts" in argv:
+            assert "counting" in modules and "omega" not in modules, argv
+    parts = results[tuple(brute[:-1] + ["parts"])]
+    assert results[tuple(brute)] == parts == {"count": "177"}
+    assert results[tuple(simulate)]["hits"] == "3526"  # pinned in tests/test_montecarlo.py
+
+
+def test_verify_suite_choices_name_every_suite():
+    # the parser takes --suite's choices from _SUITE_FLAGS, so that no
+    # start imports verification to build it
+    assert set(cli._SUITE_FLAGS) == set(verification.SUITES)
 
 
 def test_results_never_pass_through_str_int(monkeypatch):

@@ -480,6 +480,8 @@ def test_restricted_holds_one_running_total_while_halving():
     [
         (lambda t: count_constrained(ProblemSpec(3, 3), t),
          "total 2^16609.6 with n=3 needs about 2^33216.3 search nodes (limit 4000000)"),
+        (lambda n: count_constrained(ProblemSpec(3, n), 5),
+         "exhaustive search recurses 2^16609.6 slots deep (limit 500)"),
         (lambda t: counting._restricted_table((1, 2), t),
          "a partition table to total 2^16609.6 fills 2^16610.6 cells (limit 100000000)"),
         (lambda t: count_restricted((t - 1,), t),
@@ -489,7 +491,7 @@ def test_restricted_holds_one_running_total_while_halving():
          "the composition count at n=2^16609.6, total 2^16610.6 has over 2^16609.6 bits"
          " (limit 1200000)"),
     ],
-    ids=["walk", "table", "halving", "hermite"],
+    ids=["walk", "depth", "table", "halving", "hermite"],
 )
 def test_guards_name_huge_totals_by_their_power_of_two(call, refusal):
     # 10^5000 has more digits than str() prints

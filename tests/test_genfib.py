@@ -1,7 +1,5 @@
 """Step-Fibonacci terms, running sums, and the parts built from them."""
 
-import importlib
-import pkgutil
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -9,7 +7,6 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-import brokenstick
 from brokenstick import (
     ResourceLimitError,
     f_sum,
@@ -18,6 +15,7 @@ from brokenstick import (
     genfib,
     parts_multiset,
 )
+from conftest import run_module
 
 
 # Independent oracle: the defining recurrence, no tables involved.
@@ -233,12 +231,27 @@ def test_shared_tables_survive_concurrent_use():
         assert row == [naive_fib(3, 150 + (seed + i) % 40) for i in range(40)]
 
 
-def test_every_exported_name_exists():
+# In a fresh interpreter a bare `import brokenstick` loads genfib and
+# probability alone, so every other submodule and every name of omega,
+# counting and montecarlo resolves through the package's __getattr__.
+_EXPORTS_CHILD = """
+import pkgutil, sys
+import brokenstick
+loaded = sorted(m for m in sys.modules if m.startswith("brokenstick."))
+assert loaded == ["brokenstick.genfib", "brokenstick.probability"], loaded
+names = sorted(info.name for info in pkgutil.iter_modules(brokenstick.__path__))
+modules = [getattr(brokenstick, name) for name in names]
+assert modules == [sys.modules[f"brokenstick.{name}"] for name in names], names
+star = {}
+exec("from brokenstick import *", star)
+assert set(star) - {"__builtins__"} == set(brokenstick.__all__)
+for module in [brokenstick] + modules:
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, (module.__name__, missing)
+"""
+
+
+def test_every_exported_name_exists(monkeypatch):
     # a name left in __all__ after its definition is gone breaks star imports
-    modules = [brokenstick] + [
-        importlib.import_module(f"brokenstick.{info.name}")
-        for info in pkgutil.iter_modules(brokenstick.__path__)
-    ]
-    for module in modules:
-        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
-        assert not missing, (module.__name__, missing)
+    proc = run_module(monkeypatch, "-c", _EXPORTS_CHILD)
+    assert proc.returncode == 0, proc.stderr

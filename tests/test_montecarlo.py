@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from brokenstick import (
     DEFAULT_SEED,
     ProblemSpec,
+    ResourceLimitError,
     SimConfig,
     estimate,
     prob_exists,
@@ -588,6 +589,13 @@ def test_config_validation():
         SimConfig(spec=spec, mode="none", trials=10, chunks=0)
     with pytest.raises(ValueError):
         SimConfig(spec=spec, mode="none", trials=10, seed=-1)
+
+
+def test_config_names_huge_n_by_its_power_of_two():
+    # 10^5000 has more digits than str() prints
+    with pytest.raises(ResourceLimitError) as info:
+        SimConfig(spec=ProblemSpec(3, 10**5000), mode="none", trials=1)
+    assert str(info.value) == "a simulated stick breaks into 2^16609.6 pieces (limit 4194304)"
 
 
 def test_chunk_seeds_are_spread_out():

@@ -108,7 +108,7 @@ def test_prob_ngon_refuses_past_bound_before_building_the_power():
     # 2^(n-1) has n bits, about 4 MiB past the bound; a refusal stays far below
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="limit n <= 33000000"):
+        with pytest.raises(ResourceLimitError, match=r"bits \(limit 33000000\)"):
             prob_ngon(33_000_001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -118,6 +118,15 @@ def test_prob_ngon_refuses_past_bound_before_building_the_power():
     value = prob_ngon(33_000_000)
     assert value.denominator == 1 << (33_000_000 - 7)
     assert value.numerator == value.denominator - 515625
+
+
+def test_prob_ngon_names_huge_n_by_its_power_of_two():
+    # 10^5000 has more digits than str() prints
+    with pytest.raises(ResourceLimitError) as info:
+        prob_ngon(10**5000)
+    assert str(info.value) == (
+        "prob_ngon at n=2^16609.6 needs 2^(n-1), an int of 2^16609.6 bits (limit 33000000)"
+    )
 
 
 def renyi_forall(k, n):
