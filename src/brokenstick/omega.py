@@ -79,6 +79,7 @@ builds the crude form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 from typing import Literal, NamedTuple, NoReturn, overload
 
@@ -138,9 +139,18 @@ def _marker_text(markers: tuple[tuple[Var, int], ...]) -> _Text:
     return "*".join(num), "*".join(den), len(den)
 
 
+# Ints below this have at most 640 digits, the lowest int-to-str limit
+# the interpreter accepts, so str() always prints them; a larger q
+# exponent is printed through Decimal, which has no such limit.
+_STR_SAFE = 1 << 2125
+
+
 def _format_monomial(q_exp: int, text: _Text) -> str:
     num, den, den_count = text
-    head = "" if q_exp == 0 else "q" if q_exp == 1 else f"q^{q_exp}"
+    if q_exp < 2:
+        head = "q" if q_exp else ""
+    else:
+        head = f"q^{q_exp if q_exp < _STR_SAFE else Decimal(q_exp)}"
     out = f"{head}*{num}" if head and num else head or num or "1"
     if den_count > 1:
         return f"{out}/({den})"

@@ -4,6 +4,10 @@ Each suite returns a list of ``Check`` records; a suite passes when
 every check does.  The command line exposes them under ``verify`` and
 the acceptance tests reuse them directly, so the grids and tolerances
 here are the single source of truth for what "verified" means.
+
+Only the suites that eliminate (lemma1, prop2) import ``omega``, and
+only the montecarlo suite imports ``montecarlo``, each when it runs, so
+``verify`` loads no module its suite does not run.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from .counting import (
     _check_walk, _constrained_counts, _restricted_table, asymptotic_ratio, hermite_coeff
 )
 from .genfib import f_sum, parts_multiset
-from .montecarlo import _MAX_WORK, DEFAULT_CHUNKS, DEFAULT_SEED, SimConfig, _work, estimate
-from .omega import run_elimination
-from .probability import ProblemSpec, ResourceLimitError, prob_forall, prob_ngon, prob_none
+from .probability import (
+    DEFAULT_CHUNKS, DEFAULT_SEED, ProblemSpec, ResourceLimitError, prob_forall, prob_ngon, prob_none
+)
 
 __all__ = [
     "Check",
@@ -63,6 +67,8 @@ def suite_lemma1(
     0..``max_total`` passes the walk's node cap raises
     ``ResourceLimitError`` (past max_total 107 on the default grid).
     """
+    from .omega import run_elimination
+
     if max_total < 0:
         raise ValueError(f"truncation order must be nonnegative, got {max_total}")
     grid = [ProblemSpec(k, n) for k in k_values for n in range(k, k + n_extra + 1)]
@@ -103,6 +109,8 @@ def suite_prop2(
     n = k .. k + n_extra.  The k = 4 rows n = 6..10 are additionally
     checked against the explicit form {f_3(2..n)} + {1 + f_3(n-2) + f_3(n)}.
     """
+    from .omega import run_elimination
+
     checks = []
     for k in k_values:
         for n in range(k, k + n_extra + 1):
@@ -235,6 +243,8 @@ def suite_montecarlo(
 
     The seven runs together must fit one simulation's cost bound.
     """
+    from .montecarlo import _MAX_WORK, SimConfig, _work, estimate
+
     cases = [
         ("none", 3, 3),
         ("none", 3, 5),

@@ -97,9 +97,9 @@ def test_main_is_reentrant(capsys, monkeypatch):
     capsys.readouterr()
 
     def rebuilt():
-        raise AssertionError("build_parser called again")
+        raise AssertionError("parsers built again")
 
-    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    monkeypatch.setattr(cli, "_build_parsers", rebuilt)
     requests = [
         "prob none --k 4 --n 5 --format json",
         "prob --format json",
@@ -634,8 +634,8 @@ def test_refusals_of_huge_costs_print_the_guard_message(capsys, argv):
 def test_verify_suites_refuse_totals_past_bound(capsys, monkeypatch):
     # (suite, largest max_total served on its default grid, its limit,
     # the exhaustive count each check runs, a stub of it answering -1 at
-    # every total, the series route)
-    for suite, served, limit, count, wrong, series in (
+    # every total, the series route and the module the suite takes it from)
+    for suite, served, limit, count, wrong, series, series_module in (
         (
             "lemma1",
             107,
@@ -643,6 +643,7 @@ def test_verify_suites_refuse_totals_past_bound(capsys, monkeypatch):
             "_constrained_counts",
             lambda spec, t_min, t_max: [-1] * (t_max - t_min + 1),
             "run_elimination",
+            omega,
         ),
         (
             "hermite",
@@ -651,11 +652,12 @@ def test_verify_suites_refuse_totals_past_bound(capsys, monkeypatch):
             "_composition_count",
             lambda *args: -1,
             "hermite_coeff",
+            verification,
         ),
     ):
         with monkeypatch.context() as patch:
             patch.setattr(verification, count, _fail)
-            patch.setattr(verification, series, _fail)
+            patch.setattr(series_module, series, _fail)
             argv = ("verify", "--suite", suite, "--max-total", str(served + 1))
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (3, ""), suite
@@ -802,6 +804,50 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys)[0] == 2
 
 
+# Requests naming a subcommand are parsed by its parser alone, the rest
+# by the full parser: none at all, help, version, unknown commands,
+# usage errors, leftovers and abbreviations on both routes.
+DISPATCH_ARGVS = [
+    [],
+    ["--version"],
+    ["-h"],
+    ["prob", "-h"],
+    ["nonsense"],
+    ["nonsense", "--k", "3"],
+    ["--format", "json", "prob"],
+    ["prob"],
+    ["prob", "maybe", "--n", "4"],
+    ["prob", "none", "--k", "3", "--n", "3", "--bogus"],
+    ["prob", "none", "--k", "3", "--bogus", "x", "--n", "3", "--also"],
+    ["prob", "none", "--k", "3", "--n", "3", "--vers"],
+    ["prob", "none", "--k", "3", "--n", "3", "--version"],
+    ["prob", "none", "--k", "3", "--n", "5", "--dec", "6"],
+    ["prob", "none", "--k=3", "--n", "5"],
+    ["prob", "--", "none", "--k", "3", "--n", "3"],
+    ["fib", "--k", "3", "--upto", "5", "--format", "csv", "extra"],
+    ["omega", "--k", "3", "--n", "4", "--trace", "--format", "plain"],
+    ["verify", "--suite", "prop2", "--trials", "10"],
+    ["verify", "--suite", "hermite", "--max-total", "4", "--ratio-n", "300"],
+]
+
+
+def test_dispatch_matches_the_full_parser(capsys, monkeypatch):
+    # exit code, stdout and stderr of each argv equal those of the same
+    # request parsed by build_parser().parse_args
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    parser, commands = cli._parsers()
+    parse = parser.parse_known_args
+    full_parses = []
+    monkeypatch.setattr(parser, "parse_known_args", lambda *a: full_parses.append(a) or parse(*a))
+    got = [run_cli(capsys, *argv) for argv in DISPATCH_ARGVS]
+    assert len(full_parses) == sum(not argv or argv[0] not in commands for argv in DISPATCH_ARGVS)
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "_parsers", lambda: (full, {}))
+    for argv, answer in zip(DISPATCH_ARGVS, got):
+        assert run_cli(capsys, *argv) == answer, argv
+    assert {answer[0] for answer in got} == {0, 2}
+
+
 def test_domain_errors_exit_3(capsys):
     assert run_cli(capsys, "prob", "none", "--k", "2", "--n", "5")[0] == 3
     assert run_cli(capsys, "prob", "none", "--k", "4", "--n", "3")[0] == 3
@@ -900,7 +946,10 @@ def test_exact_requests_leave_numpy_unloaded(monkeypatch):
     for argv, modules in loaded.items():
         command = argv[0]
         assert ("numpy" in modules) == (list(argv) in (brute, simulate)), argv
-        assert ("montecarlo" in modules) == (command in ("simulate", "verify")), argv
+        # verify --suite hermite|asymptotic load neither montecarlo nor omega
+        assert ("montecarlo" in modules) == (command == "simulate"), argv
+        eliminates = command == "omega" or "series" in argv or "prop2" in argv
+        assert ("omega" in modules) == eliminates, argv
         assert ("verification" in modules) == (command == "verify"), argv
         if command in ("prob", "fib"):
             assert modules == {"cli", "genfib", "probability"}, argv
@@ -928,3 +977,19 @@ def test_results_never_pass_through_str_int(monkeypatch):
     num, den = json.loads(proc.stdout)["result"]["probability"].split("/")
     want = prob_exists(ProblemSpec(60, 600))
     assert (int(Decimal(num)), int(Decimal(den))) == (want.numerator, want.denominator)
+
+
+def test_trace_exponents_never_pass_through_str_int(monkeypatch):
+    # the trace of (3, 3200) prints q exponents of up to 848 digits; its
+    # untraced answer printed them exactly before its trace did
+    proc = run_module(
+        monkeypatch, "-X", "int_max_str_digits=640", "-m", "brokenstick.cli",
+        "omega", "--k", "3", "--n", "3200", "--trace",
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)["result"]["steps"]
+    heads = [m.split("*")[0].split("/")[0] for step in steps for m in step["produced"]]
+    _, want = omega.run_elimination(ProblemSpec(3, 3200), trace=True)
+    exponents = [fac.q_exp for step in want for fac in step.produced]
+    assert heads == ["q" if e == 1 else f"q^{e}" for e in exponents]
+    assert len(str(max(exponents))) > 640
