@@ -39,7 +39,6 @@ import functools
 import io
 import json
 import sys
-from dataclasses import asdict
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from itertools import accumulate
 from typing import Sequence
@@ -290,10 +289,11 @@ def _cmd_simulate(mode, k, n, trials, seed, chunks) -> dict:
     from .montecarlo import SimConfig, estimate
 
     config = SimConfig(spec=ProblemSpec(k, n), mode=mode, trials=trials, seed=seed, chunks=chunks)
-    # hits, trials, seed and chunks are ints; estimate and stderr floats
+    # hits, trials, seed and chunks are ints; estimate and stderr floats.
+    # vars() reads the fields in declaration order and copies nothing.
     return {
         key: value if isinstance(value, float) else _digits(value)
-        for key, value in asdict(estimate(config)).items()
+        for key, value in vars(estimate(config)).items()
     }
 
 

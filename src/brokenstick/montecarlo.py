@@ -26,9 +26,9 @@ A run packs its blocks into slabs of max(1, 2^17 // n) trials: each
 block fills the next rows from its own generator, so a slab may hold the
 end of one block and the start of the next, and one sort and mask serve
 them all.  The slabs are drawn into two reused float64 buffers of 1 MiB,
-which stay in a core's cache; "forall" and "ngon" write their running
-sums over the sorted slab, so a run holds 2 to 3.5 MiB whatever its
-trial count.  While the caller sorts and masks one slab, a helper thread
+which stay in a core's cache; the running sums and masks take at most
+about one slab more, so a run holds 2 to 3.5 MiB whatever its trial
+count.  While the caller sorts and masks one slab, a helper thread
 draws the next into the other buffer; numpy releases the GIL in all
 three, so on two cores the draw, over half of a slab's time at n >= 20,
 runs beside the rest.  A run of one slab, or in a process that may use
@@ -39,18 +39,27 @@ itself is capped at 2^22.  PCG64 fills rows one after another and each
 block keeps its own generator, so hits depend neither on the slab size,
 nor on how blocks share slabs, nor on which thread draws.
 
+Past n = 10 a slab is sorted along its rows, and the mask reads its
+reversed columns, largest piece first.  The running sums add one column
+at a time, the order np.add.accumulate uses, so every sum is the same
+float: "forall" and "ngon" keep one accumulator and S[n - k] as it
+passes, "none" and "exists" S[0..k - 1].  A slab of fewer than 256 rows
+(n above 512, or a short last slab) pays more for a ufunc call per
+column than for one np.add.accumulate along its rows, which it takes
+instead, "forall" writing it over the sorted slab.
+
 Up to n = 10 a slab is sorted and masked column-major instead, since
 numpy's row sort costs about as much per row at n = 3 as at n = 10.
 Tiles of 8192 rows are copied to an (n + 1, 8192) buffer, at most 704
 KiB, made once per run; each column is sorted by a fixed comparator
 network (Batcher's odd-even merge, built once per n) with the largest
-piece in row 0, and the running sums add one row at a time, the order
-np.add.accumulate uses.  So every sorted value and every sum, and with
-them the hits, are those of the row kernel.
+piece in row 0, and the sorted rows go to the row kernel's mask.  So
+every sorted value and every sum, and with them the hits, are those of
+the row kernel.
 
 Cost model: a run costs trials * n + 1000 * min(chunks, trials)
 trial-pieces, since only the first min(chunks, trials) blocks are
-non-empty.  A config past 1.5 * 10^8 (about 2 s) or with n > 2^22
+non-empty.  A config past 1.5 * 10^8 (1 to 2 s) or with n > 2^22
 raises ``ResourceLimitError`` when it is built, before any draw.
 
 numpy is imported inside each function that calls it, never at module
@@ -86,20 +95,23 @@ __all__ = [
 _SLAB_FLOATS = 1 << 17
 _MAX_N = 1 << 22
 
-# Largest n whose slabs go to the column kernel, and its tile in rows;
-# see the module docstring.
+# Largest n whose slabs go to the column kernel, its tile in rows, and
+# the fewest rows for which the row kernel adds its sums one column at a
+# time; see the module docstring.
 _SMALL_N = 10
 _TILE_ROWS = 1 << 13
+_ROW_FLOOR = 256
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Cost model in trial-pieces (see the module docstring).  On a 2-core
-# host, on one thread, the kernel did 150-160 M trial-pieces/s at n = 3
-# and 66-160 M/s at n = 3 to 300, slowest at n = 11 to 20 where the row
-# kernel takes over; a block cost 13-15 us, about 1000 trial-pieces at
-# that slowest rate.  So _MAX_WORK is about 2.3 s at the slowest n and
-# 1 s at n = 3.  The helper's draws make large runs faster only while a
-# second core is free, and with it busy a run costs up to about 15% more.
+# host with the second core busy, on one thread, the kernel did 80-160 M
+# trial-pieces/s at n = 3 to 1000 (130-160 M at n = 3), slowest at n = 11
+# and, for "forall" and "ngon", at n >= 600; a block cost 13-17 us, about
+# 1000 trial-pieces at that slowest rate.  So _MAX_WORK is about 1.9 s at
+# the slowest n and 1 s at n = 3.  The helper's draws make large runs
+# faster only while a second core is free, and with it busy a run costs
+# up to about 15% more.
 _BLOCK_WORK = 1_000
 _MAX_WORK = 150_000_000
 
@@ -162,29 +174,32 @@ class SimResult:
     chunks: int
 
 
-def _hit_mask(mode: str, k: int, pieces: np.ndarray) -> np.ndarray:
-    # The row kernel: pieces (rows, n), each row sorted decreasing.  S is
-    # the running sum along a row (np.add.accumulate: cumsum without its
-    # wrapper's cost); "forall" writes it over pieces, whose column 0 it
-    # keeps, instead of allocating a slab for it.
-    import numpy as np
-
-    if mode in ("forall", "ngon"):
-        return _mask(mode, k, pieces.T, np.add.accumulate(pieces, axis=1, out=pieces).T)
-    return _mask(mode, k, pieces.T, np.add.accumulate(pieces[:, :k], axis=1).T)
-
-
-def _mask(mode: str, k: int, pieces, sums) -> np.ndarray:
-    # pieces[i] is piece i of every row, largest first, and sums[j] the
-    # running sum S[j] of pieces 0..j, for every j ("forall", "ngon") or
-    # for j < k ("none", "exists").  Window i of "none" holds piece i
+def _mask(mode: str, k: int, pieces, sums=None) -> np.ndarray:
+    # pieces[i] is piece i of every row, largest first, and sums[j], if
+    # given, the running sum S[j] of pieces 0..j, for every j ("forall",
+    # "ngon") or for j < k ("none", "exists").  Without sums, S is built
+    # by adding one piece at a time, the order np.add.accumulate uses, so
+    # every sum is the same float.  Window i of "none" holds piece i
     # against S[i + k - 1] - S[i], the sum of its other k - 1 pieces;
     # "forall" holds the largest piece against the k - 1 smallest.
     import numpy as np
 
     n = len(pieces)
     if mode in ("forall", "ngon"):
-        return sums[0] < sums[n - 1] - sums[n - k]
+        if sums is not None:
+            return sums[0] < sums[n - 1] - sums[n - k]
+        # One accumulator, added to in place; the add after S[n - k]
+        # makes a new one, which leaves S[n - k] as it was.
+        head = total = pieces[0]
+        for j in range(1, n):
+            total = total + pieces[j] if total is head else np.add(total, pieces[j], out=total)
+            if j == n - k:
+                head = total
+        return pieces[0] < total - head
+    if sums is None:
+        sums = [pieces[0]]
+        for j in range(1, k):
+            sums.append(sums[-1] + pieces[j])
     # Windows one at a time, each adding one piece to S, until no row is
     # left: the additions a whole-row cumsum makes, so the same bits.
     last = sums[k - 1]
@@ -234,22 +249,6 @@ def _sorted_rows(cols: np.ndarray) -> list[np.ndarray]:
     return rows
 
 
-def _column_mask(mode: str, k: int, rows: list[np.ndarray]) -> np.ndarray:
-    # The column kernel: rows are the n pieces of every trial, largest
-    # first.  S[j] is built by adding one row at a time, the order of
-    # np.add.accumulate, so every sum is the float the row kernel makes.
-    import numpy as np
-
-    if mode in ("forall", "ngon"):
-        for j in range(1, len(rows)):
-            np.add(rows[j - 1], rows[j], out=rows[j])
-        return _mask(mode, k, rows, rows)
-    sums = rows[:1]
-    for j in range(1, k):
-        sums.append(sums[-1] + rows[j])
-    return _mask(mode, k, rows, sums)
-
-
 def _slab_hits(mode: str, k: int, draws: np.ndarray, cols: np.ndarray | None) -> int:
     # Sorts and masks one slab of draws, overwriting it.  With cols, an
     # (n + 1, tile) buffer, the slab goes tile by tile to column-major.
@@ -257,14 +256,18 @@ def _slab_hits(mode: str, k: int, draws: np.ndarray, cols: np.ndarray | None) ->
 
     if cols is None:
         draws.sort(axis=1)
-        return int(np.count_nonzero(_hit_mask(mode, k, draws[:, ::-1])))
+        pieces, sums = draws[:, ::-1], None
+        if len(draws) < _ROW_FLOOR:  # "forall" keeps piece 0 as S[0]
+            whole = mode in ("forall", "ngon")
+            sums = np.add.accumulate(pieces if whole else pieces[:, :k], axis=1, out=pieces if whole else None).T
+        return int(np.count_nonzero(_mask(mode, k, pieces.T, sums)))
     tile = cols.shape[1]
     hits = 0
     for start in range(0, len(draws), tile):
         part = draws[start : start + tile]
         here = cols[:, : len(part)]
         np.copyto(here[:-1], part.T)
-        hits += np.count_nonzero(_column_mask(mode, k, _sorted_rows(here)))
+        hits += np.count_nonzero(_mask(mode, k, _sorted_rows(here)))
     return int(hits)
 
 

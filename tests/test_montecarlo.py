@@ -81,7 +81,45 @@ def column_mask(mode: str, k: int, pieces: np.ndarray) -> np.ndarray:
     n = pieces.shape[1]
     cols = np.empty((n + 1, len(pieces)))
     cols[:n] = pieces.T
-    return montecarlo._column_mask(mode, k, montecarlo._sorted_rows(cols))
+    return montecarlo._mask(mode, k, montecarlo._sorted_rows(cols))
+
+
+def row_mask(mode: str, k: int, pieces: np.ndarray, floor: float | None = None) -> np.ndarray:
+    """The row kernel's mask of pieces (rows, n), in any order per row.
+
+    It is the mask ``_slab_hits`` counts; a floor of 0 rows makes it add
+    one piece at a time, and one past the rows makes it accumulate.
+    """
+    masks = []
+    mask = montecarlo._mask
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_mask", lambda *args: masks.append(mask(*args)) or masks[-1])
+        if floor is not None:
+            patch.setattr(montecarlo, "_ROW_FLOOR", floor)
+        montecarlo._slab_hits(mode, k, np.array(pieces, dtype=float), None)
+    [got] = masks
+    return got
+
+
+def accumulate_mask(mode: str, k: int, pieces: np.ndarray) -> np.ndarray:
+    """The mask of pieces (rows, n), each row sorted decreasing, from whole-row
+    running sums by np.add.accumulate: every window at once, with no early
+    exit, and the sums in the order the kernels add them, so the same floats."""
+    n = pieces.shape[1]
+    sums = np.add.accumulate(pieces, axis=1)
+    if mode in ("forall", "ngon"):
+        return pieces[:, 0] < sums[:, n - 1] - sums[:, n - k]
+    # window i holds piece i against S[i + k - 1] - S[i]
+    none = np.all(pieces[:, : n - k + 1] >= sums[:, k - 1 :] - sums[:, : n - k + 1], axis=1)
+    return none if mode == "none" else ~none
+
+
+def tie_slab(n: int, rows: int, seed: int) -> np.ndarray:
+    """Exp(1) draws (rows, n) whose first six rows hold ties, in both orders."""
+    draws = np.random.default_rng(seed).standard_exponential((rows, n))
+    draws[:3] = [np.ones(n), 2.0 ** -np.arange(n), np.r_[n - 1.0, np.ones(n - 1)]]
+    draws[3:6] = draws[:3, ::-1]
+    return draws
 
 
 def sorted_pieces(values):
@@ -185,11 +223,13 @@ def test_kernel_resolves_ties_like_scalar_predicates():
         for mode in MODES:
             block_k = len(values) if mode == "ngon" else k
             want = scalar_hit(mode, values, k)
-            assert montecarlo._hit_mask(mode, block_k, pieces.copy()).tolist() == [want], (values, k, mode)
-            # the column kernel sorts the pieces itself, so it also gets
-            # them in increasing order
+            assert accumulate_mask(mode, block_k, pieces).tolist() == [want], (values, k, mode)
+            # the kernels sort the pieces themselves, so they also get them
+            # in increasing order; the row kernel on both sides of its floor
             for order in (pieces, pieces[:, ::-1]):
                 assert column_mask(mode, block_k, order).tolist() == [want], (values, k, mode)
+                for floor in (0, 2):
+                    assert row_mask(mode, block_k, order, floor).tolist() == [want], (values, k, mode, floor)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -201,12 +241,14 @@ def test_hit_mask_is_scale_invariant(mode):
     pieces = np.sort(np.random.default_rng(11).standard_exponential((500, n)), axis=1)[:, ::-1]
     pieces[:4] = [[4, 2, 1, 1, 0.5, 0.5], [2, 1, 1, 0.5, 0.25, 0.25], [3, 1, 1, 1, 1, 1], [1] * n]
     block_k = n if mode == "ngon" else k
-    mask = montecarlo._hit_mask(mode, block_k, pieces.copy())
+    mask = accumulate_mask(mode, block_k, pieces)
     for j in (-60, -1, 3, 60):
-        scaled = montecarlo._hit_mask(mode, block_k, pieces * 2.0**j)
-        assert np.array_equal(scaled, mask), j
-        # and the column kernel, on the same scaled slabs
+        assert np.array_equal(accumulate_mask(mode, block_k, pieces * 2.0**j), mask), j
+        # and both kernels, the row kernel on both sides of its floor, on
+        # the same scaled slabs
         assert np.array_equal(column_mask(mode, block_k, pieces * 2.0**j), mask), j
+        for floor in (0, len(pieces) + 1):
+            assert np.array_equal(row_mask(mode, block_k, pieces * 2.0**j, floor), mask), (j, floor)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -214,19 +256,31 @@ def test_hit_mask_is_scale_invariant(mode):
 def test_column_kernel_matches_row_kernel(mode, n):
     # one slab of draws, with a few rows of ties, through both kernels:
     # equal masks, and equal hits from _slab_hits over ragged tiles
-    rng = np.random.default_rng(100 + n)
-    draws = rng.standard_exponential((3000, n))
-    draws[:3] = [np.ones(n), 2.0 ** -np.arange(n), np.r_[n - 1.0, np.ones(n - 1)]]
-    draws[3:6] = draws[:3, ::-1]
+    draws = tie_slab(n, 3000, 100 + n)
     for k in sorted({3, (n + 3) // 2, n}) if mode != "ngon" else [n]:
-        rows = np.sort(draws, axis=1)[:, ::-1]
-        mask = montecarlo._hit_mask(mode, k, rows)
+        mask = accumulate_mask(mode, k, np.sort(draws, axis=1)[:, ::-1])
         assert np.array_equal(column_mask(mode, k, draws), mask), k
+        assert np.array_equal(row_mask(mode, k, draws), mask), k
         want = int(np.count_nonzero(mask))
         assert montecarlo._slab_hits(mode, k, draws.copy(), None) == want, k
         for tile in (1024, 7):
             cols = np.empty((n + 1, tile))
             assert montecarlo._slab_hits(mode, k, draws.copy(), cols) == want, (k, tile)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", [11, 45, 200, 300, 600, 1000])
+def test_row_kernel_matches_accumulate_oracle(mode, n):
+    # full slabs, with rows of ties, scaled by 2^j: slabs of n <= 300 have
+    # at least _ROW_FLOOR rows and add one piece at a time, those of 600
+    # and 1000 fewer, and accumulate; the masks are the oracle's either way
+    draws = tie_slab(n, montecarlo._SLAB_FLOATS // n, 200 + n)
+    assert (len(draws) >= montecarlo._ROW_FLOOR) == (n <= 300)
+    for k in sorted({3, (n + 3) // 2, n}) if mode != "ngon" else [n]:
+        for j in (0, -60, -1, 3, 60):
+            scaled = draws * 2.0**j
+            mask = accumulate_mask(mode, k, np.sort(scaled, axis=1)[:, ::-1])
+            assert np.array_equal(row_mask(mode, k, scaled), mask), (k, j)
 
 
 @pytest.mark.parametrize("n", range(1, montecarlo._SMALL_N + 1))
@@ -258,6 +312,11 @@ PINNED = [
     ("none", 4, 8, 40_000, 9, 2, 13),
     ("forall", 20, 200, 50_000, 10, 8, 0),
     ("ngon", 100, 100, 50_000, 11, 8, 50_000),
+    # Recorded before the row kernel added its sums one piece at a time:
+    # slabs of 436 rows take that path, of 218 and 163 rows the accumulate.
+    ("forall", 60, 300, 20_000, 14, 8, 10839),
+    ("forall", 85, 600, 4_000, 15, 2, 1324),
+    ("forall", 100, 800, 3_000, 16, 3, 929),
 ]
 
 EXACT = {"none": prob_none, "exists": prob_exists, "forall": prob_forall}
@@ -325,17 +384,16 @@ def test_run_memory_is_a_few_slabs(mode):
     assert peak < 3 * 8 * montecarlo._SLAB_FLOATS, peak
 
 
-def test_hit_mask_overwrite_keeps_the_mask():
-    # forall's running sums written over the pieces give the mask of the
-    # scalar predicates, ties included, and leave the largest piece in
-    # column 0
+def test_mask_leaves_the_pieces_as_they_were():
+    # the sums built one piece at a time give the mask of the scalar
+    # predicates, ties included, and write nothing over the pieces
     pieces = np.sort(np.random.default_rng(13).standard_exponential((300, 7)), axis=1)[:, ::-1]
     pieces[:3] = [[4, 2, 1, 0.5, 0.25, 0.125, 0.125], [1] * 7, [3, 1, 1, 1, 1, 0.5, 0.5]]
-    for mode, k in (("forall", 3), ("forall", 5), ("ngon", 7)):
+    for mode, k in (("forall", 3), ("forall", 5), ("forall", 6), ("ngon", 7), ("none", 3), ("exists", 5)):
         scratch = pieces.copy()
-        mask = montecarlo._hit_mask(mode, k, scratch)
+        mask = montecarlo._mask(mode, k, scratch.T)
         assert mask.tolist() == [scalar_hit(mode, row.tolist(), k) for row in pieces], (mode, k)
-        assert np.array_equal(scratch[:, 0], pieces[:, 0])
+        assert np.array_equal(scratch, pieces), (mode, k)
 
 
 def _spy_overlapped(monkeypatch):
@@ -404,19 +462,19 @@ def test_no_thread_outlives_estimate(monkeypatch):
     # a mask that fails mid-run: the error reaches the caller and the
     # helper, which may be drawing the next slab, is joined first
     calls = []
-    hit_mask = montecarlo._hit_mask
+    mask = montecarlo._mask
 
     def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) == 3:
             raise RuntimeError("mask failed")
-        return hit_mask(*args, **kwargs)
+        return mask(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "_hit_mask", failing)
+    monkeypatch.setattr(montecarlo, "_mask", failing)
     with pytest.raises(RuntimeError, match="mask failed"):
         estimate(config)
     assert len(calls) == 3 and _helpers() == before
-    monkeypatch.setattr(montecarlo, "_hit_mask", hit_mask)
+    monkeypatch.setattr(montecarlo, "_mask", mask)
     # a draw that fails on the helper, which makes every draw of such a
     # run, is raised on the caller's thread
     failed_on = []
