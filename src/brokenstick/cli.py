@@ -56,7 +56,7 @@ from .probability import (
     prob_ngon,
 )
 
-__all__ = ["build_parser", "main"]
+__all__ = ["main"]
 
 # fib prints 2 (upto + 1) ints of up to upto bits each (the growth ratio
 # is below 2), so output and memory grow like upto^2 and rendering like
@@ -110,7 +110,7 @@ def _to_decimal(value: int) -> Decimal:
     powers: dict[int, Decimal] = {}  # 2^w by w; at most two per level
 
     def split(v: int, w: int) -> Decimal:
-        # 0 <= v < 2^w
+        # -2^w <= v < 2^w
         if w <= _DIRECT_BITS:
             return Decimal(v)
         half = w >> 1
@@ -119,8 +119,7 @@ def _to_decimal(value: int) -> Decimal:
         hi = v >> half
         return _EXACT.fma(split(hi, w - half), powers[half], split(v - (hi << half), half))
 
-    result = split(abs(value), value.bit_length())
-    return _EXACT.minus(result) if value < 0 else result
+    return split(value, value.bit_length())
 
 
 def _decimal_product(parts: tuple[int, ...]) -> Decimal:
@@ -181,7 +180,7 @@ def _emit(record: dict, fmt: str) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(flat.keys())
-        writer.writerow("" if v is None else v for v in flat.values())
+        writer.writerow(flat.values())
         sys.stdout.write(buf.getvalue())
     else:
         for key, value in flat.items():
@@ -297,24 +296,30 @@ def _cmd_simulate(mode, k, n, trials, seed, chunks) -> dict:
     }
 
 
-def _cmd_verify(suite, **kwargs) -> tuple[dict, int]:
+def _cmd_verify(suite, **kwargs) -> dict:
     from .verification import run_suite
 
     checks = run_suite(suite, **kwargs)
-    passed = all(c.ok for c in checks)
-    result = {
+    return {
         "suite": suite,
-        "passed": passed,
+        "passed": all(c.ok for c in checks),
         "total": str(len(checks)),
         "failed": str(sum(1 for c in checks if not c.ok)),
         "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks],
     }
-    return result, 0 if passed else 4
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # The full parser, and the parser of each subcommand by name: the
     # subparsers action's choices, which the full parser itself runs.
+    # One set per process: building them took 0.68 ms of a 0.75 ms
+    # `prob none --k 4 --n 5` on a 2-core host.  Parsing leaves them
+    # unchanged; they keep the `_cmd_*` handlers they were built with.
+    # main hands a request naming a subcommand to that subcommand's parser
+    # (the module docstring has the rule): through the full parser the top
+    # level scans every argument before the subcommand parser scans them
+    # again, about half of a 0.09 ms `prob forall --k 7 --n 12`.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -386,23 +391,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return parser, sub.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full command-line parser, subcommands included."""
-    return _build_parsers()[0]
-
-
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # One set of parsers per process: building them took 0.68 ms of a
-    # 0.75 ms `prob none --k 4 --n 5` on a 2-core host.  Parsing leaves
-    # them unchanged; they keep the `_cmd_*` handlers they were built with.
-    # main hands a request naming a subcommand to that subcommand's parser
-    # (the module docstring has the rule): through the full parser the top
-    # level scans every argument before the subcommand parser scans them
-    # again, about half of a 0.09 ms `prob forall --k 7 --n 12`.
-    return _build_parsers()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser, commands = _parsers()
     if argv is None:
@@ -436,7 +424,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ResourceLimitError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 3
-    result, code = result if args.command == "verify" else (result, 0)
     if args.command == "prob" and args.event == "ngon":
         params.pop("k", None)  # checked equal to n; n alone names the n-gon
     record = {
@@ -446,7 +433,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "version": __version__,
     }
     _emit(record, args.format)
-    return code
+    return 4 if args.command == "verify" and not result["passed"] else 0
 
 
 if __name__ == "__main__":

@@ -164,8 +164,8 @@ class CrudeFactor:
     order, which is also elimination order, so the marker eliminated
     next is the first entry of every factor that carries it; zero
     exponents are not stored.  Built from a dict of powers, as in
-    ``CrudeFactor(2, {Var("lambda", 1): -1})``; ``powers`` gives the
-    dict back.  Factors compare by q exponent and markers; treat them
+    ``CrudeFactor(2, {Var("lambda", 1): -1})``; ``dict(markers)`` gives
+    the dict back.  Factors compare by q exponent and markers; treat them
     as immutable.
     """
 
@@ -188,10 +188,6 @@ class CrudeFactor:
     @property
     def markers(self) -> tuple[tuple[Var, int], ...]:
         return self._base[self._start :] if self._start else self._base
-
-    @property
-    def powers(self) -> dict[Var, int]:
-        return dict(self.markers)
 
     def _marks(self) -> _Text:
         # The marker text, rendered on first use unless a traced
@@ -354,7 +350,7 @@ def _reject(factors: list[CrudeFactor], var: Var, consumed: tuple[int, ...]) -> 
     # marker.
     plus_pos = consumed[0]
     for pos in consumed:
-        e = factors[pos].powers.get(var, 0)
+        e = dict(factors[pos].markers).get(var, 0)
         want = 1 if pos == plus_pos else -1
         if e != want:
             raise ShapeError(

@@ -91,15 +91,12 @@ def test_golden_output(capsys, monkeypatch):
 def test_main_is_reentrant(capsys, monkeypatch):
     # one parser serves every request of the process: back-to-back calls
     # across subcommands, usage (2) and domain (3) errors in between, each
-    # give the golden answer, and none builds a parser again
+    # give the golden answer, and each takes the cached parsers without
+    # building them again
     monkeypatch.setenv("COLUMNS", "80")
     main(["prob", "none", "--k", "4", "--n", "5"])
     capsys.readouterr()
-
-    def rebuilt():
-        raise AssertionError("parsers built again")
-
-    monkeypatch.setattr(cli, "_build_parsers", rebuilt)
+    before = cli._parsers.cache_info()
     requests = [
         "prob none --k 4 --n 5 --format json",
         "prob --format json",
@@ -115,6 +112,8 @@ def test_main_is_reentrant(capsys, monkeypatch):
     for argv in requests:
         code, out, err = GOLDEN[argv]
         assert run_cli(capsys, *argv.split()) == (code, out.replace("VERSION", __version__), err), argv
+    after = cli._parsers.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + len(requests))
     assert {GOLDEN[argv][0] for argv in requests} == {0, 2, 3}
 
 
@@ -833,7 +832,7 @@ DISPATCH_ARGVS = [
 
 def test_dispatch_matches_the_full_parser(capsys, monkeypatch):
     # exit code, stdout and stderr of each argv equal those of the same
-    # request parsed by build_parser().parse_args
+    # request parsed by a freshly built full parser's parse_args
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
     parser, commands = cli._parsers()
     parse = parser.parse_known_args
@@ -841,7 +840,7 @@ def test_dispatch_matches_the_full_parser(capsys, monkeypatch):
     monkeypatch.setattr(parser, "parse_known_args", lambda *a: full_parses.append(a) or parse(*a))
     got = [run_cli(capsys, *argv) for argv in DISPATCH_ARGVS]
     assert len(full_parses) == sum(not argv or argv[0] not in commands for argv in DISPATCH_ARGVS)
-    full = cli.build_parser()
+    full = cli._parsers.__wrapped__()[0]
     monkeypatch.setattr(cli, "_parsers", lambda: (full, {}))
     for argv, answer in zip(DISPATCH_ARGVS, got):
         assert run_cli(capsys, *argv) == answer, argv
@@ -958,6 +957,29 @@ def test_exact_requests_leave_numpy_unloaded(monkeypatch):
     parts = results[tuple(brute[:-1] + ["parts"])]
     assert results[tuple(brute)] == parts == {"count": "177"}
     assert results[tuple(simulate)]["hits"] == "3526"  # pinned in tests/test_montecarlo.py
+
+
+def test_refused_simulations_leave_numpy_unloaded(monkeypatch):
+    # a refused or malformed simulation, in simulate or in verify's
+    # montecarlo suite, answers before anything imports numpy, which
+    # would double or triple such a request's start-up time
+    base = ["--mode", "none", "--k", "3", "--n", "3"]
+    requests = [
+        ["simulate", *base, "--trials", "0"],
+        ["simulate", *base, "--trials", str(10**12)],
+        ["simulate", "--mode", "none", "--k", "2", "--n", "3", "--trials", "10"],
+        ["verify", "--suite", "montecarlo", "--trials", str(10**12)],
+    ]
+    child = """
+import contextlib, io, json, sys
+from brokenstick import cli
+with contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+    proc = run_module(monkeypatch, "-c", child, json.dumps(requests))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[3] * len(requests), False]
 
 
 def test_verify_suite_choices_name_every_suite():

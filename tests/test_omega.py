@@ -40,7 +40,7 @@ def eliminated(factors, var, consumed):
 
 
 def variables(factors):
-    return {v for fac in factors for v in fac.powers}
+    return {v for fac in factors for v in dict(fac.markers)}
 
 
 def test_build_crude_factor_count():
@@ -54,21 +54,21 @@ def test_build_crude_factor_count():
 def test_build_crude_smallest_case():
     # k = n = 3: one window marker, two chain markers
     factors = build_crude(ProblemSpec(3, 3))
-    assert factors[0].powers == {lam(1): 1}
-    assert factors[1].powers == {lam(1): -1, mu(2): 1}
-    assert factors[2].powers == {lam(1): -1, mu(2): -1}
+    assert dict(factors[0].markers) == {lam(1): 1}
+    assert dict(factors[1].markers) == {lam(1): -1, mu(2): 1}
+    assert dict(factors[2].markers) == {lam(1): -1, mu(2): -1}
 
 
 def test_build_crude_marker_pattern():
     # k=4, n=7: four windows, chain on the last three pieces
     factors = build_crude(ProblemSpec(4, 7))
-    assert factors[0].powers == {lam(1): 1}
-    assert factors[1].powers == {lam(2): 1, lam(1): -1}
-    assert factors[3].powers == {lam(4): 1, lam(1): -1, lam(2): -1, lam(3): -1}
+    assert dict(factors[0].markers) == {lam(1): 1}
+    assert dict(factors[1].markers) == {lam(2): 1, lam(1): -1}
+    assert dict(factors[3].markers) == {lam(4): 1, lam(1): -1, lam(2): -1, lam(3): -1}
     # piece 5 = n - k + 2 starts the ordering chain
-    assert factors[4].powers == {lam(2): -1, lam(3): -1, lam(4): -1, mu(5): 1}
-    assert factors[5].powers == {lam(3): -1, lam(4): -1, mu(6): 1, mu(5): -1}
-    assert factors[6].powers == {lam(4): -1, mu(6): -1}
+    assert dict(factors[4].markers) == {lam(2): -1, lam(3): -1, lam(4): -1, mu(5): 1}
+    assert dict(factors[5].markers) == {lam(3): -1, lam(4): -1, mu(6): 1, mu(5): -1}
+    assert dict(factors[6].markers) == {lam(4): -1, mu(6): -1}
 
 
 def test_marker_discipline_in_crude_form():
@@ -77,7 +77,7 @@ def test_marker_discipline_in_crude_form():
         for n in range(k, k + 5):
             factors = build_crude(ProblemSpec(k, n))
             for var in variables(factors):
-                exps = [f.powers[var] for f in factors if var in f.powers]
+                exps = [dict(f.markers)[var] for f in factors if var in dict(f.markers)]
                 assert exps.count(1) == 1
                 assert set(exps) <= {1, -1}
 
@@ -102,7 +102,7 @@ def test_eliminate_two_factor_identity():
     v = lam(1)
     out = eliminated((CrudeFactor(1, {v: 1}), CrudeFactor(1, {v: -1})), v, (0, 1))
     assert [f.q_exp for f in out] == [1, 2]
-    assert all(not f.powers for f in out)
+    assert all(not dict(f.markers) for f in out)
 
 
 def test_eliminate_broadcasts_into_each_minus_factor():
@@ -118,7 +118,7 @@ def test_eliminate_broadcasts_into_each_minus_factor():
     out = eliminated(factors, v, (0, 1, 2, 3))
     assert [f.q_exp for f in out] == [1, 2, 2, 2]
     # the input keeps its factors and their monomials
-    assert [f.powers for f in factors] == [{v: 1}, {v: -1}, {v: -1}, {v: -1}]
+    assert [dict(f.markers) for f in factors] == [{v: 1}, {v: -1}, {v: -1}, {v: -1}]
 
 
 def test_eliminate_rejects_other_markers_on_plus_factor():
@@ -164,7 +164,7 @@ def _crude_with(spec, edits):
     # an exponent of 0 drops the marker from that factor
     factors = list(build_crude(spec))
     for pos, changes in edits.items():
-        powers = {**factors[pos].powers, **changes}
+        powers = {**dict(factors[pos].markers), **changes}
         factors[pos] = CrudeFactor(factors[pos].q_exp, {v: e for v, e in powers.items() if e})
     return tuple(factors)
 
@@ -267,7 +267,7 @@ def test_trace_structure():
         assert len(step.consumed) == len(step.produced)
         assert len(set(step.consumed)) == len(step.consumed)
         # replacement factors no longer carry the eliminated marker
-        assert all(step.var not in f.powers for f in step.produced)
+        assert all(step.var not in dict(f.markers) for f in step.produced)
 
 
 def test_trace_replays_to_same_product():
@@ -279,7 +279,7 @@ def test_trace_replays_to_same_product():
     for step in steps:
         for pos, fac in zip(step.consumed, step.produced):
             factors[pos] = fac
-    assert all(not f.powers for f in factors)
+    assert all(not dict(f.markers) for f in factors)
     assert tuple(f.q_exp for f in factors) == product.exponents
 
 
@@ -332,7 +332,7 @@ def test_factor_keeps_markers_in_var_order():
     fac = CrudeFactor(2, {mu(5): -1, lam(2): 1, lam(1): -1})
     assert fac.markers == ((lam(1), -1), (lam(2), 1), (mu(5), -1))
     assert fac == CrudeFactor(2, {lam(1): -1, lam(2): 1, mu(5): -1})
-    assert fac != CrudeFactor(3, fac.powers)
+    assert fac != CrudeFactor(3, dict(fac.markers))
 
 
 def naive_system(k, n):
@@ -390,7 +390,7 @@ def test_run_elimination_matches_naive_reference():
             for step, name in zip(steps, markers):
                 form, consumed, produced = naive_eliminate(form, name)
                 assert step.consumed == tuple(consumed), (k, n, name)
-                got = [(f.q_exp, {str(v): e for v, e in f.powers.items()}) for f in step.produced]
+                got = [(f.q_exp, {str(v): e for v, e in dict(f.markers).items()}) for f in step.produced]
                 assert got == produced, (k, n, name)
             assert all(not p for _, p in form)
             assert product.exponents == tuple(q for q, _ in form), (k, n)
