@@ -15,33 +15,40 @@ decimal strings so arbitrarily large exact values survive any JSON
 reader, and rationals are rendered as "numerator/denominator".  Each
 ``_cmd_*`` handler returns its payload so rendered, ready to print.
 
-Each request is parsed once.  When its first argument names a
-subcommand, that subcommand's parser alone parses the rest, and
-arguments it does not take are reported as the full parser reports
-them.  Any other argv (none at all, ``-h``, ``--version`` or an unknown
-command) goes through the full parser.
+Each request is parsed once, from ``_COMMANDS``, the one table of the
+subcommands and their arguments.  A well-formed request is read
+straight from it without argparse: a known subcommand, then its
+positional (``prob``'s event) as the second argument if it has one,
+then exact full flags, each at most once and each but ``--trace``
+followed by a value that does not start with ``-`` and that passes
+``int()`` or its choices, with every required flag present.  Any other
+argv (none at all, ``-h``, ``--version``, an unknown command, an
+abbreviation, ``--k=3``, ``--``, a repeated flag, a bad value or a
+leftover) goes to the full argparse parser, built from the same table
+at most once per process.  So help, usage, every usage error and its
+exit code are argparse's, and only they build the parser.
 
 Exit codes: 0 success, 2 usage error (a verify flag its suite does not
 take is one), 3 domain or resource error, 4 verification suite failure.
 
 A start imports only the modules its subcommand runs.  This module
 imports the package's ``genfib`` and ``probability``, which also hold
-the parser's choices and defaults, and each ``_cmd_*`` handler imports
-the rest of what it calls (``omega``, ``counting``, ``montecarlo``,
+the option table's choices and defaults, and each ``_cmd_*`` handler
+imports the rest of what it calls (``omega``, ``counting``, ``montecarlo``,
 ``verification``, and through them numpy) when it runs.  So ``prob``
-and ``fib`` load no other module.
+and ``fib`` load no other module, and no well-formed request loads
+argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import json
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
-from itertools import accumulate
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import ResourceLimitError, __version__
 from .genfib import fib_table, parts_multiset
@@ -51,10 +58,12 @@ from .probability import (
     MODES,
     ProblemSpec,
     _none_terms,
-    _product,
     prob_forall,
     prob_ngon,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main"]
 
@@ -90,7 +99,6 @@ _SUITE_FLAGS: dict[str, dict[str, str]] = {
 # measured crossover, where plain str(Decimal(v)) against the split below
 # took 3.4 against 19 us at 1024 bits, 36 against 89 us at 4096, 0.51
 # against 0.66 ms at 16384 and 8.0 against 4.6 ms at 65536 (2-core host).
-# _decimal_product uses the same size for its int leaves.
 _DIRECT_BITS = 1 << 14
 
 # Exact arithmetic on Decimal ints: wide enough for any value, and any
@@ -122,20 +130,17 @@ def _to_decimal(value: int) -> Decimal:
     return split(value, value.bit_length())
 
 
-def _decimal_product(parts: tuple[int, ...]) -> Decimal:
-    # Exact product of the parts by a balanced tree multiplied in
+def _decimal_product(runs: tuple[int, ...]) -> Decimal:
+    # Exact product of _none_terms' runs by a balanced tree multiplied in
     # libmpdec, whose transform multiplication beats CPython's Karatsuba
-    # on large operands.  A run of parts totalling at most _DIRECT_BITS
-    # bits is one leaf: their int product, converted by _to_decimal.
-    ends = list(accumulate((p.bit_length() for p in parts), initial=0))
-
+    # on large operands; each run is one leaf, converted by _to_decimal.
     def tree(lo: int, hi: int) -> Decimal:
-        if hi - lo == 1 or ends[hi] - ends[lo] <= _DIRECT_BITS:
-            return _to_decimal(_product(parts[lo:hi]))
+        if hi - lo == 1:
+            return _to_decimal(runs[lo])
         mid = (lo + hi) // 2
         return _EXACT.multiply(tree(lo, mid), tree(mid, hi))
 
-    return tree(0, len(parts))
+    return tree(0, len(runs))
 
 
 def _digits(value: int) -> str:
@@ -199,10 +204,10 @@ def _cmd_prob(event, n, k=None, decimal=None) -> dict:
     elif k is None:
         raise ValueError(f"prob {event} needs --k")
     if event in ("none", "exists"):
-        # n! over the reduced parts is in lowest terms, and so is
+        # n! over the reduced runs is in lowest terms, and so is
         # (den - num) / den
-        numerator, parts = _none_terms(ProblemSpec(k, n))
-        num, den = _to_decimal(numerator), _decimal_product(parts)
+        numerator, runs = _none_terms(ProblemSpec(k, n))
+        num, den = _to_decimal(numerator), _decimal_product(runs)
         if event == "exists":
             num = _EXACT.subtract(den, num)
     elif event == "ngon":
@@ -309,24 +314,129 @@ def _cmd_verify(suite, **kwargs) -> dict:
     }
 
 
+# Every subcommand by name, as (help, handler, arguments): the one
+# description that _parsers builds argparse from and _read reads
+# well-formed requests by.  Arguments map each name or flag to its
+# add_argument keywords, in the parser's order; a name without dashes is
+# the positional, read from argv[1].  Each flag's spec names its dest.
+_FORMAT = {
+    "dest": "format",
+    "choices": ("json", "csv", "plain"),
+    "default": "json",
+    "help": "output format (default json)",
+}
+_COMMANDS: dict[str, tuple[str, Callable[..., dict], dict[str, dict]]] = {
+    "prob": ("exact event probability", _cmd_prob, {
+        "--format": _FORMAT,
+        "event": {"choices": MODES},
+        "--k": {"dest": "k", "type": int, "help": "polygon size (not used for ngon)"},
+        "--n": {"dest": "n", "type": int, "required": True, "help": "number of pieces"},
+        "--decimal": {"dest": "decimal", "type": int, "metavar": "D",
+                      "help": "also print D significant digits"},
+    }),
+    "fib": ("step-Fibonacci terms and running sums", _cmd_fib, {
+        "--format": _FORMAT,
+        "--k": {"dest": "k", "type": int, "required": True, "help": "sequence order (>= 2)"},
+        "--upto": {"dest": "upto", "type": int, "required": True, "help": "largest index to print"},
+    }),
+    "omega": ("run the elimination engine", _cmd_omega, {
+        "--format": _FORMAT,
+        "--k": {"dest": "k", "type": int, "required": True},
+        "--n": {"dest": "n", "type": int, "required": True},
+        "--trace": {"dest": "trace", "action": "store_true", "default": False,
+                    "help": "include per-step trace"},
+    }),
+    "count": ("count solutions at a fixed total", _cmd_count, {
+        "--format": _FORMAT,
+        "--k": {"dest": "k", "type": int, "required": True},
+        "--n": {"dest": "n", "type": int, "required": True},
+        "--N-value": {"dest": "n_value", "type": int, "required": True, "metavar": "M",
+                      "help": "total being partitioned"},
+        "--oracle": {"dest": "oracle", "choices": ("brute", "parts", "series"), "required": True},
+        "--positivity": {"dest": "positivity", "choices": ("nonneg", "positive"),
+                         "default": "nonneg"},
+    }),
+    "hermite": ("compositions closing an n-gon at a fixed total", _cmd_hermite, {
+        "--format": _FORMAT,
+        "--n": {"dest": "n", "type": int, "required": True},
+        "--N-value": {"dest": "n_value", "type": int, "required": True, "metavar": "M"},
+    }),
+    "simulate": ("Monte Carlo estimate", _cmd_simulate, {
+        "--format": _FORMAT,
+        "--mode": {"dest": "mode", "choices": MODES, "required": True},
+        "--k": {"dest": "k", "type": int, "required": True},
+        "--n": {"dest": "n", "type": int, "required": True},
+        "--trials": {"dest": "trials", "type": int, "required": True},
+        "--seed": {"dest": "seed", "type": int, "default": DEFAULT_SEED},
+        "--chunks": {"dest": "chunks", "type": int, "default": DEFAULT_CHUNKS},
+    }),
+    "verify": ("run a cross-validation suite", _cmd_verify, {
+        "--format": _FORMAT,
+        "--suite": {"dest": "suite", "choices": sorted(_SUITE_FLAGS), "required": True},
+        "--max-total": {"dest": "max_total", "type": int,
+                        "help": "largest total checked (lemma1, hermite)"},
+        "--ratio-n": {"dest": "ratio_n", "type": int,
+                      "help": "total used for the ratio checks (asymptotic, hermite)"},
+        "--trials": {"dest": "trials", "type": int, "help": "trials per case (montecarlo)"},
+        "--seed": {"dest": "seed", "type": int, "help": "simulation seed (montecarlo)"},
+        "--chunks": {"dest": "chunks", "type": int, "help": "simulation chunks (montecarlo)"},
+    }),
+}
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    # The Namespace argparse would build for a well-formed request (the
+    # module docstring has the form), or None for argparse to parse.
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    _, func, arguments = entry
+    values = {"command": argv[0]}
+    start = 1
+    for name, spec in arguments.items():
+        if name.startswith("-"):
+            values[spec["dest"]] = spec.get("default")
+        elif len(argv) > 1 and argv[1] in spec["choices"]:
+            values[name] = argv[1]
+            start = 2
+        else:
+            return None
+    given = set()
+    i = start
+    while i < len(argv):
+        flag = argv[i]
+        spec = arguments.get(flag) if flag.startswith("--") and flag not in given else None
+        if spec is None:
+            return None
+        given.add(flag)
+        if spec.get("action") == "store_true":
+            values[spec["dest"]] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if "choices" in spec:
+            if value not in spec["choices"]:
+                return None
+        else:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[spec["dest"]] = value
+        i += 2
+    if any(spec.get("required") and flag not in given for flag, spec in arguments.items()):
+        return None
+    values["func"] = func
+    return SimpleNamespace(**values)
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # The full parser, and the parser of each subcommand by name: the
-    # subparsers action's choices, which the full parser itself runs.
-    # One set per process: building them took 0.68 ms of a 0.75 ms
-    # `prob none --k 4 --n 5` on a 2-core host.  Parsing leaves them
-    # unchanged; they keep the `_cmd_*` handlers they were built with.
-    # main hands a request naming a subcommand to that subcommand's parser
-    # (the module docstring has the rule): through the full parser the top
-    # level scans every argument before the subcommand parser scans them
-    # again, about half of a 0.09 ms `prob forall --k 7 --n 12`.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("json", "csv", "plain"),
-        default="json",
-        help="output format (default json)",
-    )
+def _parsers() -> argparse.ArgumentParser:
+    # The full parser, built from _COMMANDS once per process, and only for
+    # a request that _read leaves to argparse.  Parsing leaves it unchanged.
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="brokenstick",
@@ -334,75 +444,21 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     )
     parser.add_argument("--version", action="version", version=f"brokenstick {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prob", parents=[common], help="exact event probability")
-    p.add_argument("event", choices=MODES)
-    p.add_argument("--k", type=int, help="polygon size (not used for ngon)")
-    p.add_argument("--n", type=int, required=True, help="number of pieces")
-    p.add_argument("--decimal", type=int, metavar="D", help="also print D significant digits")
-    p.set_defaults(func=_cmd_prob)
-
-    p = sub.add_parser("fib", parents=[common], help="step-Fibonacci terms and running sums")
-    p.add_argument("--k", type=int, required=True, help="sequence order (>= 2)")
-    p.add_argument("--upto", type=int, required=True, help="largest index to print")
-    p.set_defaults(func=_cmd_fib)
-
-    p = sub.add_parser("omega", parents=[common], help="run the elimination engine")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trace", action="store_true", help="include per-step trace")
-    p.set_defaults(func=_cmd_omega)
-
-    p = sub.add_parser("count", parents=[common], help="count solutions at a fixed total")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N-value", dest="n_value", type=int, required=True, metavar="M",
-                   help="total being partitioned")
-    p.add_argument("--oracle", choices=("brute", "parts", "series"), required=True)
-    p.add_argument("--positivity", choices=("nonneg", "positive"), default="nonneg")
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("hermite", parents=[common],
-                       help="compositions closing an n-gon at a fixed total")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N-value", dest="n_value", type=int, required=True, metavar="M")
-    p.set_defaults(func=_cmd_hermite)
-
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo estimate")
-    p.add_argument("--mode", choices=MODES, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--chunks", type=int, default=DEFAULT_CHUNKS)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("verify", parents=[common], help="run a cross-validation suite")
-    p.add_argument("--suite", choices=sorted(_SUITE_FLAGS), required=True)
-    p.add_argument("--max-total", dest="max_total", type=int,
-                   help="largest total checked (lemma1, hermite)")
-    p.add_argument("--ratio-n", dest="ratio_n", type=int,
-                   help="total used for the ratio checks (asymptotic, hermite)")
-    p.add_argument("--trials", type=int, help="trials per case (montecarlo)")
-    p.add_argument("--seed", type=int, help="simulation seed (montecarlo)")
-    p.add_argument("--chunks", type=int, help="simulation chunks (montecarlo)")
-    p.set_defaults(func=_cmd_verify)
-
-    return parser, sub.choices
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, spec in arguments.items():
+            command.add_argument(flag, **spec)
+        command.set_defaults(func=func)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser, commands = _parsers()
     if argv is None:
         argv = sys.argv[1:]
+    args = _read(argv)
     try:
-        command = commands.get(argv[0]) if argv else None
-        if command is None:
-            args = parser.parse_args(argv)
-        else:
-            args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        if args is None:
+            args = _parsers().parse_args(argv)
         # The params rule of the module docstring; each handler takes params as keywords.
         params = {
             key: value
@@ -415,14 +471,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             for attr, value in flags.items():
                 if attr not in accepted:
                     flag = "--" + attr.replace("_", "-")
-                    parser.error(f"{flag} does not apply to suite {args.suite!r}")
+                    _parsers().error(f"{flag} does not apply to suite {args.suite!r}")
                 params[accepted[attr]] = value
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         result = args.func(**params)
     except (ValueError, ResourceLimitError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        print(f"brokenstick: error: {exc}", file=sys.stderr)
         return 3
     if args.command == "prob" and args.event == "ngon":
         params.pop("k", None)  # checked equal to n; n alone names the n-gon

@@ -12,14 +12,16 @@ the others is flat and does not count as a polygon.  All results are
 ``fractions.Fraction`` values in lowest terms.
 
 Cost of ``prob_none`` (and ``prob_exists``): the denominator has about
-0.1-0.15 n^2 decimal digits (0.15 for large k).  Each of the n parts
-first gives up its gcd with what is left of n!, an int of at most
-n log2 n bits, which leaves the fraction in lowest terms with no gcd of
-the whole product; a balanced product tree then multiplies the reduced
-parts in O(M(d) log n) for d digits and Karatsuba's M(d) ~ d^1.585.  On
-a 2-core host: (50, 2000) 0.55 s and (50, 4000) 4.9 s, of which the
-gcds take 0.35 s; the CLI multiplies the same reduced parts in libmpdec
-and answers (50, 4000) in 1.5 s.  A denominator that may exceed
+0.1-0.15 n^2 decimal digits (0.15 for large k).  The n parts are
+multiplied in order into runs of at most 4096 bits, a wider part being a
+run by itself, and each run first gives up its gcd with what is left of
+n!, an int of at most n log2 n bits, which leaves the fraction in lowest
+terms with no gcd of the whole product; a balanced product tree then
+multiplies the reduced runs in O(M(d) log n) for d digits and
+Karatsuba's M(d) ~ d^1.585.  On a 2-core host: (50, 2000) 0.3 s and
+(50, 4000) 2.8-4.4 s, of which the runs and gcds take 0.25 s; the CLI
+multiplies the same reduced runs in libmpdec and answers (50, 4000) in
+1.1-1.5 s.  A denominator that may exceed
 8 * 10^6 bits, its size at n = 4000, raises ``ResourceLimitError``
 before any part is built: every n <= 4000 is served and larger n only
 for k near n.
@@ -71,7 +73,7 @@ __all__ = [
 
 # The events by the names the CLI and the simulation give them; "ngon"
 # is forall at k = n.  With the simulation's defaults they live here, so
-# the CLI's parser shows them without importing montecarlo, which
+# the CLI's option table holds them without importing montecarlo, which
 # exports all three, as the package does DEFAULT_SEED and DEFAULT_CHUNKS.
 MODES = ("none", "exists", "forall", "ngon")
 # Arbitrary fixed default; the acceptance checks pin their expectations
@@ -83,6 +85,10 @@ DEFAULT_CHUNKS = 8
 _PROB_NONE_MAX_BITS = 8_000_000
 _PROB_FORALL_MAX_STEPS = 25_000_000_000_000
 _PROB_NGON_MAX_N = 33_000_000
+# Width of the runs of parts that _none_terms cancels n! against: one gcd
+# with n! per run, not per part.  The CLI converts each run to Decimal
+# directly, at this width faster than 16 Kibit leaves.
+_RUN_BITS = 4096
 
 
 class ResourceLimitError(RuntimeError):
@@ -159,22 +165,31 @@ def _none_denominator_bits(k: int, n: int) -> int:
 
 
 def _none_terms(spec: ProblemSpec) -> tuple[int, tuple[int, ...]]:
-    # prob_none as n! / prod(parts) in lowest terms, without the gcd of n!
-    # with the whole product: each part gives up its gcd with what is
-    # left of n!.  For each prime one side of that pair then holds none
-    # of it, and the numerator only shrinks, so every reduced part is
-    # coprime to the final numerator and so is their product.
+    # prob_none as n! / prod(runs) in lowest terms, without the gcd of n!
+    # with the whole product: the parts are multiplied in order into runs
+    # of at most _RUN_BITS bits (a wider part is a run by itself), and
+    # each run gives up its gcd with what is left of n!.  For each prime
+    # one side of that pair then holds none of it, and the numerator only
+    # shrinks, so every reduced run is coprime to the final numerator and
+    # so is their product.
     ResourceLimitError._check(
         _none_denominator_bits(spec.k, spec.n), _PROB_NONE_MAX_BITS, "bits",
         "the no-polygon probability at k={}, n={} has a denominator of up to", spec.k, spec.n,
     )
-    num = factorial(spec.n)
-    parts = []
+    runs = [1]
     for part in parts_multiset(spec.k, spec.n):
-        common = gcd(num, part)
+        wider = runs[-1] * part
+        if wider.bit_length() <= _RUN_BITS or runs[-1] == 1:
+            runs[-1] = wider
+        else:
+            runs.append(part)
+    num = factorial(spec.n)
+    reduced = []
+    for run in runs:
+        common = gcd(num, run)
         num //= common
-        parts.append(part // common)
-    return num, tuple(parts)
+        reduced.append(run // common)
+    return num, tuple(reduced)
 
 
 def _forall_steps(k: int, m: int) -> int:

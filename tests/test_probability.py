@@ -68,13 +68,19 @@ def test_none_known_values():
 
 
 def check_none_terms(k, n):
-    # n! over the plain product of the parts, by the cancelled terms and
-    # by the product tree; the cancelled terms are already in lowest terms
-    want = Fraction(factorial(n), prod(parts_multiset(k, n)))
-    num, parts = probability._none_terms(ProblemSpec(k, n))
-    assert len(parts) == n
-    assert all(gcd(num, part) == 1 for part in parts), (k, n)
-    assert (num, prod(parts)) == (want.numerator, want.denominator), (k, n)
+    # n! over the plain product of the parts, by the cancelled runs and by
+    # the product tree.  The cancelled runs are already in lowest terms,
+    # each at most _RUN_BITS wide unless it is one wider part; and before
+    # cancelling each two neighbouring runs made more than _RUN_BITS bits,
+    # so every pair of runs holds at least _RUN_BITS bits of the product.
+    parts = parts_multiset(k, n)
+    want = Fraction(factorial(n), prod(parts))
+    num, runs = probability._none_terms(ProblemSpec(k, n))
+    assert all(gcd(num, run) == 1 for run in runs), (k, n)
+    width = max(probability._RUN_BITS, max(parts).bit_length())
+    assert max(runs).bit_length() <= width, (k, n)
+    assert len(runs) // 2 * probability._RUN_BITS < prod(parts).bit_length(), (k, n)
+    assert (num, prod(runs)) == (want.numerator, want.denominator), (k, n)
     assert prob_none(ProblemSpec(k, n)) == want, (k, n)
 
 
